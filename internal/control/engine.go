@@ -106,17 +106,18 @@ type Engine struct {
 	cfg    EngineConfig
 	policy string
 	// owned lists the global extender IDs this engine may assign, in
-	// increasing order; localOf inverts it. identity is true when the
-	// engine owns every extender in order (the common single-CC case),
-	// which lets recompute point the network rows at per-user rate
-	// slices without projection.
+	// increasing order; localOf inverts it (indexed by global ID,
+	// model.Unassigned where not owned).
 	owned     []int
-	localOf   map[int]int
+	localOf   []int
 	ownedCaps []float64
-	identity  bool
 	// strategy is the policy instance (nil for PolicyRSSI, which places
 	// users by their reported signal instead). Only used under mu.
 	strategy strategy.Strategy
+	// identity is true when the engine owns every extender in order
+	// (the common single-CC case), which lets recompute point the
+	// network rows at per-user rate slices without projection.
+	identity bool
 	// placementJoins routes joins through the online placement form
 	// (EngineConfig.PlacementOnlyJoins, or Budget.Moves < 0).
 	placementJoins bool
@@ -224,13 +225,16 @@ func (e *Engine) resolveOwned(owned []int) error {
 		e.owned = append([]int(nil), owned...)
 		sort.Ints(e.owned)
 	}
-	e.localOf = make(map[int]int, len(e.owned))
+	e.localOf = make([]int, numExt)
+	for g := range e.localOf {
+		e.localOf[g] = model.Unassigned
+	}
 	e.ownedCaps = make([]float64, len(e.owned))
 	for l, g := range e.owned {
 		if g < 0 || g >= numExt {
 			return fmt.Errorf("control: owned extender %d out of range [0,%d)", g, numExt)
 		}
-		if _, dup := e.localOf[g]; dup {
+		if e.localOf[g] != model.Unassigned {
 			return fmt.Errorf("control: extender %d owned twice", g)
 		}
 		e.localOf[g] = l
@@ -538,6 +542,15 @@ func (e *Engine) recomputeLocked(newRow int, placementOnly bool) ([]Directive, e
 		}
 		e.assign[i] = e.localIndex(r.extender)
 	}
+	// A roamed scan can leave the reporting user's current extender out
+	// of reach. Seed it as an arrival instead: the strategy's free
+	// placement pass re-places it, and emitLocked reports the move as a
+	// reassociation.
+	if newRow >= 0 {
+		if l := e.assign[newRow]; l != model.Unassigned && e.net.WiFiRates[newRow][l] <= 0 {
+			e.assign[newRow] = model.Unassigned
+		}
+	}
 	e.net.Invalidate()
 
 	assign, err := e.applyStrategy(&e.net, e.assign, newRow, placementOnly)
@@ -587,16 +600,13 @@ func (e *Engine) globalOf(local int) int {
 }
 
 // localIndex maps a global extender ID to this engine's local index
-// (model.Unassigned passes through).
+// (model.Unassigned passes through, and so does an extender this engine
+// does not own).
 func (e *Engine) localIndex(globalExt int) int {
 	if globalExt == model.Unassigned {
 		return model.Unassigned
 	}
-	l, ok := e.localOf[globalExt]
-	if !ok {
-		return model.Unassigned
-	}
-	return l
+	return e.localOf[globalExt]
 }
 
 // growAssign resizes an assignment scratch slice, preserving capacity.

@@ -306,6 +306,53 @@ func TestEngineOwnedSubset(t *testing.T) {
 	}
 }
 
+// TestEngineUpdateRoamedOutOfReach pins the roaming fix: a scan update
+// that leaves the user's current extender unreachable must re-place the
+// user (one reassociation directive) instead of failing validation of
+// the seeded assignment, for full-width and shard-subset engines alike.
+func TestEngineUpdateRoamedOutOfReach(t *testing.T) {
+	for _, tc := range []struct {
+		policy string
+		owned  []int
+	}{
+		{"wolt-hillclimb", nil},
+		{"wolt-hillclimb", []int{0, 2}},
+		{PolicyWOLT, nil},
+		{PolicyWOLT, []int{0, 2}},
+	} {
+		e, err := NewEngine(EngineConfig{
+			PLCCaps:   []float64{60, 20, 40},
+			Owned:     tc.owned,
+			Policy:    tc.policy,
+			ModelOpts: model.Options{Redistribute: true},
+			Budget:    strategy.Budget{Probes: 200},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Join(1, []float64{50, 0, 10}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Join(2, []float64{45, 0, 12}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if ext, _ := e.Extender(1); ext != 0 {
+			t.Fatalf("%s %v: user 1 on extender %d, want 0", tc.policy, tc.owned, ext)
+		}
+		dirs, err := e.Update(1, []float64{0, 0, 30}, nil)
+		if err != nil {
+			t.Fatalf("%s %v: roamed update: %v", tc.policy, tc.owned, err)
+		}
+		d := directiveFor(t, dirs, 1)
+		if d.Extender != 2 || !d.Reassociation {
+			t.Errorf("%s %v: directive %+v, want reassociation to extender 2", tc.policy, tc.owned, d)
+		}
+		if ext, _ := e.Extender(1); ext != 2 {
+			t.Errorf("%s %v: user 1 on extender %d after roaming, want 2", tc.policy, tc.owned, ext)
+		}
+	}
+}
+
 // failingReassigner is a stub strategy whose re-solve always errors.
 // Engine tests live in package control, so they can swap it into
 // e.strategy to exercise the failure paths no registry strategy hits

@@ -5,11 +5,15 @@
 //
 // The package exists for the warm path. A full WOLT solve (Hungarian
 // Phase I + NLP Phase II) costs ~1.25s at enterprise scale; a single
-// delta probe costs ~570ns and zero allocations. When the network
-// changes by one join, leave, or rate update, the previous assignment
-// is already near-optimal, so a few thousand probes of local search
-// recover almost all of the objective in well under a millisecond —
-// the regime BENCH_anytime.json measures.
+// delta probe costs a few hundred nanoseconds (BenchmarkDeltaProbe,
+// BENCH_delta.json) and zero allocations. When the network changes by
+// one join, leave, or rate update, the previous assignment is already
+// near-optimal, so a few thousand probes of local search recover almost
+// all of the objective in well under a millisecond — the regime
+// BENCH_anytime.json measures. The per-search overhead around the
+// probes is kept proportional to the work done too: candidate lists are
+// built only for users a search visits, and the hill climb's visit
+// order is a heap popped lazily rather than a full sort.
 //
 // # Anytime contract
 //
@@ -36,7 +40,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"time"
 
 	"github.com/plcwifi/wolt/internal/model"
@@ -50,9 +53,9 @@ import (
 const improveEps = 1e-12
 
 // checkEvery is how many probes pass between context/deadline
-// checkpoints: at ~570ns per probe that is one check every ~70µs,
-// cheap enough to keep cancellation latency invisible while keeping
-// the select off the hot loop.
+// checkpoints: at a few hundred ns per probe that is one check every
+// ~50-100µs, cheap enough to keep cancellation latency invisible while
+// keeping the select off the hot loop.
 const checkEvery = 128
 
 // DefaultNeighborhood is the candidate-cache size M when Options leaves
@@ -381,28 +384,71 @@ type Searcher struct {
 	// random draw can never spin on an unreachable user.
 	movable []int
 
-	// hill-climb scratch: the deficit-ordered sweep permutation.
-	sweep deficitOrder
+	// hill-climb scratch: the deficit-ordered sweep heap.
+	sweep deficitHeap
 }
 
-// deficitOrder sorts a user permutation by descending rate deficit
-// (ties by ascending index, keeping sweeps deterministic). It lives in
-// the Searcher and is sorted through a pointer, so repeated passes stay
-// allocation-free.
-type deficitOrder struct {
-	order   []int
-	deficit []float64
+// deficitHeap yields users in descending rate deficit, ties by
+// ascending index. That is a strict total order (no deficit is NaN), so
+// the pop sequence is exactly the sorted permutation; a heap makes the
+// ordering O(users) to build and O(log users) per visited user, and a
+// budgeted climb that stops after a few dozen users never pays for
+// ordering the rest. Entries carry their deficit, so sifting compares
+// neighbors in one array. It lives in the Searcher, so repeated passes
+// stay allocation-free.
+type deficitHeap []sweepEntry
+
+type sweepEntry struct {
+	deficit float64
+	user    int
 }
 
-func (d *deficitOrder) Len() int { return len(d.order) }
-func (d *deficitOrder) Less(a, b int) bool {
-	ia, ib := d.order[a], d.order[b]
-	if d.deficit[ia] != d.deficit[ib] {
-		return d.deficit[ia] > d.deficit[ib]
+// before reports whether e is visited before o.
+func (e sweepEntry) before(o sweepEntry) bool {
+	if e.deficit != o.deficit {
+		return e.deficit > o.deficit
 	}
-	return ia < ib
+	return e.user < o.user
 }
-func (d *deficitOrder) Swap(a, b int) { d.order[a], d.order[b] = d.order[b], d.order[a] }
+
+// init heapifies h in place.
+func (h deficitHeap) init() {
+	for k := len(h)/2 - 1; k >= 0; k-- {
+		h.down(k)
+	}
+}
+
+// pop removes and returns the next user to visit; ok is false once the
+// heap is empty.
+func (h *deficitHeap) pop() (user int, ok bool) {
+	o := *h
+	n := len(o) - 1
+	if n < 0 {
+		return 0, false
+	}
+	user = o[0].user
+	o[0] = o[n]
+	*h = o[:n]
+	h.down(0)
+	return user, true
+}
+
+func (h deficitHeap) down(k int) {
+	for {
+		c := 2*k + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && h[r].before(h[c]) {
+			c = r
+		}
+		if !h[c].before(h[k]) {
+			return
+		}
+		h[k], h[c] = h[c], h[k]
+		k = c
+	}
+}
 
 // Search runs one method of the family from the start assignment and
 // returns the best state found. The start may contain Unassigned
@@ -455,6 +501,7 @@ func (s *Searcher) Place(n *model.Network, assign model.Assignment, user int, op
 	bestTo := -1
 	bestSc := model.Score{Primary: math.Inf(-1), Tie: math.Inf(-1)}
 	for _, to := range s.cands.For(user) {
+		to := int(to)
 		if sc := s.delta.ProbeMoveScore(user, model.Unassigned, to); sc.Better(bestSc) {
 			bestTo, bestSc = to, sc
 		}
@@ -514,6 +561,7 @@ func (s *Searcher) place(n *model.Network, r *run) {
 		bestTo := -1
 		bestSc := model.Score{Primary: math.Inf(-1), Tie: math.Inf(-1)}
 		for _, to := range s.cands.For(i) {
+			to := int(to)
 			if !r.takeProbe() {
 				break
 			}
@@ -558,13 +606,18 @@ func (s *Searcher) hillClimb(r *run) {
 	for {
 		s.sweepOrder()
 		committed := false
-		for _, i := range s.sweep.order {
+		for {
+			i, ok := s.sweep.pop()
+			if !ok {
+				break
+			}
 			from := s.delta.Assigned(i)
 			if from == model.Unassigned {
 				continue // unplaced only when placement ran out of budget
 			}
 			bestTo, bestSc := -1, s.bestScore
 			for _, to := range s.cands.For(i) {
+				to := int(to)
 				if to == from {
 					continue
 				}
@@ -591,38 +644,34 @@ func (s *Searcher) hillClimb(r *run) {
 	}
 }
 
-// sweepOrder rebuilds the pass permutation: every user, sorted by
-// descending rate deficit in the utility's own units
-// (model.Utility.Deficit of the best candidate rate vs the current
-// rate — plain arithmetic over the candidate cache, no probes). The
-// zero sum-rate utility keeps today's raw rate difference bit-for-bit;
+// sweepOrder rebuilds the pass heap, keyed by descending rate deficit
+// in the utility's own units (model.Utility.Deficit of the best
+// reachable rate vs the current rate — plain arithmetic over the rate
+// rows and the cached heads, no probes and no candidate lists). The
+// zero sum-rate utility keeps the raw rate difference bit-for-bit;
 // fairness-hungry members send users at or near zero throughput to the
-// front. Unassigned users keep their full best rate as the deficit
-// (+∞ under finite α > 0), so any user the placement pass could not
-// afford sorts first.
+// front. Unassigned users keep their full best rate as the deficit (+∞
+// under finite α > 0), so any user the placement pass could not afford
+// pops first.
+//
+// Users reaching fewer than two extenders are left out: such a user is
+// either unassigned (skipped by the climb) or sits on its only
+// candidate, so its visit would never probe, commit or consume budget,
+// and dropping it leaves the rest of the visit order unchanged.
 func (s *Searcher) sweepOrder() {
-	users := len(s.best)
-	if cap(s.sweep.order) < users {
-		s.sweep.order = make([]int, users)
-		s.sweep.deficit = make([]float64, users)
-	}
-	s.sweep.order = s.sweep.order[:users]
-	s.sweep.deficit = s.sweep.deficit[:users]
-	for i := 0; i < users; i++ {
-		s.sweep.order[i] = i
-		cand := s.cands.For(i)
-		if len(cand) == 0 {
-			s.sweep.deficit[i] = math.Inf(-1)
+	s.sweep = resize(s.sweep, len(s.best))[:0]
+	rates := s.cands.net.WiFiRates
+	for i, head := range s.cands.Heads() {
+		if head < 0 {
 			continue
 		}
-		best := s.cands.net.WiFiRates[i][cand[0]]
 		cur := 0.0
 		if from := s.delta.Assigned(i); from != model.Unassigned {
-			cur = s.cands.net.WiFiRates[i][from]
+			cur = rates[i][from]
 		}
-		s.sweep.deficit[i] = s.util.Deficit(best, cur)
+		s.sweep = append(s.sweep, sweepEntry{s.util.Deficit(rates[i][head], cur), i})
 	}
-	sort.Sort(&s.sweep)
+	s.sweep.init()
 }
 
 // kopt escapes single-move local optima with eject/reinsert chains:
@@ -685,6 +734,7 @@ func (s *Searcher) tryChain(n *model.Network, u0 int, depth int, r *run) bool {
 		bestTo := -1
 		bestSc := model.Score{Primary: math.Inf(-1), Tie: math.Inf(-1)}
 		for _, to := range s.cands.For(u) {
+			to := int(to)
 			if to == from {
 				continue
 			}
@@ -808,7 +858,7 @@ func (s *Searcher) anneal(n *model.Network, opts Options, r *run) {
 		}
 		i := s.movable[rng.Intn(len(s.movable))]
 		cl := s.cands.For(i)
-		to := cl[rng.Intn(len(cl))]
+		to := int(cl[rng.Intn(len(cl))])
 		from := s.delta.Assigned(i)
 		if !r.takeProbe() {
 			return

@@ -304,7 +304,7 @@ func TestCandidatesCache(t *testing.T) {
 	var c Candidates
 	c.Ensure(n, 3)
 	got := c.For(0)
-	want := []int{1, 2, 4} // 50 (idx 1), 50 (idx 2), 30 — the 10 and 0 links truncated
+	want := []int32{1, 2, 4} // 50 (idx 1), 50 (idx 2), 30 — the 10 and 0 links truncated
 	if len(got) != len(want) {
 		t.Fatalf("For(0) = %v, want %v", got, want)
 	}
@@ -326,7 +326,7 @@ func TestCandidatesCache(t *testing.T) {
 	n.Invalidate()
 	c.Ensure(n, 3)
 	got = c.For(0)
-	want = []int{3, 1, 2}
+	want = []int32{3, 1, 2}
 	for k := range want {
 		if got[k] != want[k] {
 			t.Fatalf("after Invalidate: For(0) = %v, want %v", got, want)

@@ -22,12 +22,14 @@ import (
 // cell's Σ 1/r in ascending user-index order, walks the active set in
 // ascending extender order through the water-fill, and sums the
 // aggregate in that same order; DeltaEval maintains each cell's member
-// list sorted ascending and recomputes an affected cell's harmonic sum
-// by re-summing its members in that exact order, so the floating-point
-// operation sequence — and therefore every rounding — matches the full
-// evaluator's. Probe-driven search loops rewired from EvaluateWith to
-// DeltaEval make identical decisions, keeping the §7 determinism
-// contracts intact.
+// list sorted ascending, caches each member's 1/r beside it together
+// with the running (prefix) sums of those reciprocals, and evaluates an
+// affected cell's hypothetical harmonic sum as a prefix plus a
+// left-to-right tail — the exact addition sequence of a re-sum in
+// ascending member order, so the floating-point operation sequence —
+// and therefore every rounding — matches the full evaluator's.
+// Probe-driven search loops rewired from EvaluateWith to DeltaEval make
+// identical decisions, keeping the §7 determinism contracts intact.
 //
 // Validation happens once, at Attach. The network's generation counter
 // is recorded there; a network mutated in place afterwards (which must
@@ -47,16 +49,26 @@ type DeltaEval struct {
 	opts Options
 	gen  uint64
 
-	assign  Assignment // private copy, updated by Commit
-	members [][]int    // per-cell user indices, ascending
-	invSum  []float64  // per-cell Σ 1/r over members, summed ascending
-	count   []int      // len(members[j])
-	demand  []float64  // T_WiFi_j = count/invSum (0 for empty cells)
-	active  []int      // cells with count > 0, ascending
+	assign  Assignment  // private copy, updated by Commit
+	members [][]int     // per-cell user indices, ascending
+	recip   [][]float64 // recip[j][k] = 1/WiFiRates[members[j][k]][j]
+	prefix  [][]float64 // prefix[j][k] = Σ recip[j][:k], added left to right
+	count   []int       // len(members[j])
+	demand  []float64   // T_WiFi_j = count/Σ 1/r (0 for empty cells)
+	active  []int       // cells with count > 0, ascending
 
 	perExt    []float64 // committed per-extender delivered throughput
 	aggregate float64   // committed Σ perExt over active, ascending
 	utility   float64   // committed Options.Utility value (== aggregate for sum-rate)
+
+	// epoch counts Attach and Commit calls; the from-cell memo below is
+	// valid only while it matches. A search loop probes every candidate
+	// of one user from the same cell in a row, so the cell-without-i
+	// demand is computed once per user visit instead of once per probe.
+	epoch              uint64
+	memoEpoch          uint64
+	memoUser, memoFrom int
+	memoFromDem        float64
 
 	// probe scratch, sized to the active set of the hypothesis
 	pActive    []int
@@ -77,30 +89,32 @@ func (d *DeltaEval) Attach(n *Network, a Assignment, opts Options) error {
 	d.opts = opts
 	d.gen = n.gen
 	d.Evals++
+	d.epoch++
 
 	numExt := n.NumExtenders()
 	d.assign = append(d.assign[:0], a...)
-	if cap(d.members) < numExt {
-		d.members = make([][]int, numExt)
-	}
-	d.members = d.members[:numExt]
-	for j := range d.members {
-		d.members[j] = d.members[j][:0]
-	}
+	d.members = growCells(d.members, numExt)
+	d.recip = growCells(d.recip, numExt)
+	d.prefix = growCells(d.prefix, numExt)
 	// Appending users in ascending index order keeps every member list
 	// sorted — the invariant all delta recomputation relies on.
 	for i, j := range a {
 		if j != Unassigned {
 			d.members[j] = append(d.members[j], i)
+			d.recip[j] = append(d.recip[j], 1/n.WiFiRates[i][j])
 		}
 	}
-	d.invSum = growFloats(d.invSum, numExt)
 	d.count = growZeroInts(d.count, numExt)
 	d.demand = growZeroFloats(d.demand, numExt)
 	d.perExt = growZeroFloats(d.perExt, numExt)
 	d.active = d.active[:0]
 	for j := 0; j < numExt; j++ {
-		d.recomputeCell(j)
+		pre := append(d.prefix[j], 0)
+		for _, r := range d.recip[j] {
+			pre = append(pre, pre[len(pre)-1]+r)
+		}
+		d.prefix[j] = pre
+		d.refreshCell(j, len(pre)-1)
 		if d.count[j] > 0 {
 			d.active = append(d.active, j)
 		}
@@ -213,35 +227,30 @@ func (d *DeltaEval) ProbeMoveScore(i, from, to int) Score {
 }
 
 // Commit applies the move (i: from → to) to the committed state: the two
-// affected member lists are edited in place, their harmonic sums
-// recomputed in ascending member order, the active set updated, and the
-// water-fill re-run — leaving every accumulator bit-identical to a fresh
-// Attach of the moved assignment.
+// affected member and reciprocal lists are edited in place, their
+// prefix sums re-added from the edit point in ascending member order,
+// the active set updated, and the water-fill re-run — leaving every
+// accumulator bit-identical to a fresh Attach of the moved assignment.
 func (d *DeltaEval) Commit(i, from, to int) {
 	d.checkMove(i, from, to)
 	if from == to {
 		return
 	}
+	d.epoch++
 	if from != Unassigned {
 		m := d.members[from]
-		for k, u := range m {
-			if u == i {
-				d.members[from] = append(m[:k], m[k+1:]...)
-				break
-			}
-		}
-		d.recomputeCell(from)
+		k := searchMember(m, i)
+		d.members[from] = append(m[:k], m[k+1:]...)
+		d.recip[from] = append(d.recip[from][:k], d.recip[from][k+1:]...)
+		d.prefix[from] = d.prefix[from][:len(d.prefix[from])-1]
+		d.refreshCell(from, k)
 	}
 	if to != Unassigned {
-		m := append(d.members[to], 0)
-		k := len(m) - 1
-		for k > 0 && m[k-1] > i {
-			m[k] = m[k-1]
-			k--
-		}
-		m[k] = i
-		d.members[to] = m
-		d.recomputeCell(to)
+		k := searchMember(d.members[to], i)
+		d.members[to] = insertAt(d.members[to], k, i)
+		d.recip[to] = insertAt(d.recip[to], k, 1/d.net.WiFiRates[i][to])
+		d.prefix[to] = append(d.prefix[to], 0)
+		d.refreshCell(to, k)
 	}
 	d.assign[i] = to
 
@@ -269,23 +278,48 @@ func (d *DeltaEval) Commit(i, from, to int) {
 	d.recommit()
 }
 
-// recomputeCell rebuilds cell j's harmonic sum, count and WiFi demand
-// from its member list. Members are ascending, so the summation order —
-// and every rounding — matches EvaluateWith's user-index-order
-// accumulation exactly.
-func (d *DeltaEval) recomputeCell(j int) {
-	var inv float64
-	for _, u := range d.members[j] {
-		inv += 1 / d.net.WiFiRates[u][j]
+// refreshCell re-adds cell j's prefix sums from member position k on
+// (entries before k are untouched by an edit at k) and refreshes its
+// count and WiFi demand. prefix[j] must already have len(members[j])+1
+// entries with prefix[j][0] == 0. Members are ascending and each prefix
+// entry extends the previous one by a single addition, so the full sum
+// prefix[j][c] is exactly the ascending left-to-right accumulation
+// EvaluateWith performs — every rounding included.
+func (d *DeltaEval) refreshCell(j, k int) {
+	rec, pre := d.recip[j], d.prefix[j]
+	for ; k < len(rec); k++ {
+		pre[k+1] = pre[k] + rec[k]
 	}
-	d.invSum[j] = inv
-	c := len(d.members[j])
+	c := len(rec)
 	d.count[j] = c
 	if c > 0 {
-		d.demand[j] = float64(c) / inv
+		d.demand[j] = float64(c) / pre[c]
 	} else {
 		d.demand[j] = 0
 	}
+}
+
+// searchMember returns the position of user i in the ascending member
+// list m, or where it would be inserted.
+func searchMember(m []int, i int) int {
+	lo, hi := 0, len(m)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if m[h] < i {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return lo
+}
+
+// insertAt inserts v at position k of s, reusing its capacity.
+func insertAt[T any](s []T, k int, v T) []T {
+	s = append(s, v)
+	copy(s[k+1:], s[k:])
+	s[k] = v
+	return s
 }
 
 // recommit re-runs the PLC sharing stage over the committed active set,
@@ -328,8 +362,11 @@ func (d *DeltaEval) recommit() {
 }
 
 // probe evaluates the (i: from → to) hypothesis without touching the
-// committed state: the two affected cells' sums are recomputed from the
-// member lists (with i removed or merged at its sorted position), the
+// committed state: the two affected cells' sums are the committed
+// prefix up to i's sorted position plus the cached reciprocals of the
+// tail (with i skipped or merged in) — the very addition sequence a
+// re-sum of the hypothetical member list would perform — and the
+// from-cell demand is memoized per (i, from) until the next Commit; the
 // hypothetical active set is built ascending, and the water-fill and
 // aggregate sum run over it in exactly EvaluateWith's order. The
 // utility rides the same single pass: each cell's contribution is
@@ -348,26 +385,23 @@ func (d *DeltaEval) probe(i, from, to int) (agg, own, util float64) {
 	fromDem, toDem := 0.0, 0.0
 	toCount := 0
 	if from != Unassigned && d.count[from] > 1 {
-		var inv float64
-		for _, u := range d.members[from] {
-			if u != i {
-				inv += 1 / d.net.WiFiRates[u][from]
+		if d.memoEpoch == d.epoch && d.memoUser == i && d.memoFrom == from {
+			fromDem = d.memoFromDem
+		} else {
+			k := searchMember(d.members[from], i)
+			inv := d.prefix[from][k]
+			for _, r := range d.recip[from][k+1:] {
+				inv += r
 			}
+			fromDem = float64(d.count[from]-1) / inv
+			d.memoEpoch, d.memoUser, d.memoFrom, d.memoFromDem = d.epoch, i, from, fromDem
 		}
-		fromDem = float64(d.count[from]-1) / inv
 	}
 	if to != Unassigned {
-		var inv float64
-		merged := false
-		for _, u := range d.members[to] {
-			if !merged && u > i {
-				inv += 1 / d.net.WiFiRates[i][to]
-				merged = true
-			}
-			inv += 1 / d.net.WiFiRates[u][to]
-		}
-		if !merged {
-			inv += 1 / d.net.WiFiRates[i][to]
+		k := searchMember(d.members[to], i)
+		inv := d.prefix[to][k] + 1/d.net.WiFiRates[i][to]
+		for _, r := range d.recip[to][k:] {
+			inv += r
 		}
 		toCount = d.count[to] + 1
 		toDem = float64(toCount) / inv
@@ -508,4 +542,17 @@ func growInts(s []int, n int) []int {
 		return make([]int, n)
 	}
 	return s[:n]
+}
+
+// growCells returns n per-cell lists, each emptied but keeping the
+// capacity it had, so a re-Attach refills them without allocating.
+func growCells[T any](s [][]T, n int) [][]T {
+	if cap(s) < n {
+		s = append(s[:cap(s)], make([][]T, n-cap(s))...)
+	}
+	s = s[:n]
+	for j := range s {
+		s[j] = s[j][:0]
+	}
+	return s
 }

@@ -122,6 +122,31 @@ func TestProbeMoveScoreAllocs(t *testing.T) {
 	}
 }
 
+// TestDeltaCommitAllocs pins the warm Commit path at zero allocations:
+// once a cell's member, reciprocal and prefix lists have grown to hold a
+// user, moving it out and back in again reuses their capacity.
+func TestDeltaCommitAllocs(t *testing.T) {
+	n, assign := benchDeltaInstance(200, 16)
+	var d DeltaEval
+	if err := d.Attach(n, assign, Options{Redistribute: true}); err != nil {
+		t.Fatal(err)
+	}
+	user := 0
+	cycle := func() {
+		from := assign[user]
+		to := (from + 1) % 16
+		d.Commit(user, from, to)
+		d.Commit(user, to, from)
+		user = (user + 1) % 200
+	}
+	for k := 0; k < 200; k++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+		t.Errorf("warm Commit allocates %v per move pair, want 0", allocs)
+	}
+}
+
 // BenchmarkDeltaCommit measures a committed move (member-list edit, two
 // cell recomputations and the water-fill re-run).
 func BenchmarkDeltaCommit(b *testing.B) {

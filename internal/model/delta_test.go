@@ -275,3 +275,78 @@ func TestDeltaCommitNoOp(t *testing.T) {
 		t.Fatalf("no-op commits changed aggregate: %v != %v", got, before)
 	}
 }
+
+// TestDeltaPrefixProbeSequence is the differential check of the
+// prefix/tail probe and its per-(user, from-cell) memo. A seeded random
+// sequence probes every target of one user, commits a move of another
+// user into or out of that user's cell (or re-attaches after an in-place
+// rate edit of one of its cell-mates), and probes the same (user, from)
+// pairs again: a stale memo or prefix would show up as a probe that
+// differs from a fresh EvaluateWith of the hypothetical assignment.
+func TestDeltaPrefixProbeSequence(t *testing.T) {
+	for _, opts := range deltaOptions {
+		for base := int64(0); base < 6; base++ {
+			n, assign := deltaInstance(100+base, 3, 40)
+			rng := seed.Rand(base, seed.DeltaFuzz, 2)
+			var d DeltaEval
+			if err := d.Attach(n, assign, opts); err != nil {
+				t.Fatal(err)
+			}
+			var full EvalScratch
+			hyp := assign.Clone()
+			probeAll := func(step, i int) {
+				t.Helper()
+				from := assign[i]
+				for to := Unassigned; to < n.NumExtenders(); to++ {
+					if to != Unassigned && n.WiFiRates[i][to] <= 0 {
+						continue
+					}
+					agg, own := d.ProbeMoveUser(i, from, to)
+					sc := d.ProbeMoveScore(i, from, to)
+					copy(hyp, assign)
+					hyp[i] = to
+					res, err := EvaluateWith(&full, n, hyp, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if agg != res.Aggregate || own != res.PerUser[i] || sc != res.Score() {
+						t.Fatalf("opts %+v base %d step %d: probe (%d: %d→%d) = (%v, %v, %v), full (%v, %v, %v)",
+							opts, base, step, i, from, to, agg, own, sc, res.Aggregate, res.PerUser[i], res.Score())
+					}
+				}
+			}
+			for step := 0; step < 60; step++ {
+				i := rng.Intn(len(assign))
+				probeAll(step, i)
+				cell := assign[i]
+				// A cell-mate or an outsider of i's cell (a random user
+				// when i is unassigned), moved into or out of it.
+				j := rng.Intn(len(assign))
+				if j == i {
+					continue
+				}
+				switch {
+				case cell != Unassigned && rng.Intn(4) == 0:
+					// Re-attach after editing a rate of the cell in place.
+					for u := range assign {
+						if u != i && assign[u] == cell {
+							n.WiFiRates[u][cell] = 1 + rng.Float64()*60
+							break
+						}
+					}
+					n.Invalidate()
+					if err := d.Attach(n, assign, opts); err != nil {
+						t.Fatal(err)
+					}
+				case assign[j] == cell || cell == Unassigned || n.WiFiRates[j][cell] <= 0:
+					d.Commit(j, assign[j], Unassigned)
+					assign[j] = Unassigned
+				default:
+					d.Commit(j, assign[j], cell)
+					assign[j] = cell
+				}
+				probeAll(step, i)
+			}
+		}
+	}
+}
