@@ -61,7 +61,7 @@ func run(args []string) error {
 		moves    int
 	}
 	var outcomes []outcome
-	for _, policy := range []control.PolicyKind{control.PolicyWOLT, control.PolicyGreedy, control.PolicyRSSI} {
+	for _, policy := range []string{control.PolicyWOLT, control.PolicyGreedy, control.PolicyRSSI} {
 		assign, moves, err := associateViaControlPlane(inst, policy, *timeout)
 		if err != nil {
 			return fmt.Errorf("%s: %w", policy, err)
@@ -97,7 +97,7 @@ func run(args []string) error {
 // associateViaControlPlane runs a real controller and one TCP agent per
 // user, returning the resulting assignment (in user row order) and the
 // total number of re-associations the controller issued.
-func associateViaControlPlane(inst *netsim.Instance, policy control.PolicyKind, timeout time.Duration) (model.Assignment, int, error) {
+func associateViaControlPlane(inst *netsim.Instance, policy string, timeout time.Duration) (model.Assignment, int, error) {
 	server, err := control.NewServer("127.0.0.1:0", control.ServerConfig{
 		PLCCaps:   inst.Net.PLCCaps,
 		Policy:    policy,

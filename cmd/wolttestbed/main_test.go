@@ -23,7 +23,7 @@ func buildInstance(t *testing.T) *netsim.Instance {
 
 func TestAssociateViaControlPlaneAllPolicies(t *testing.T) {
 	inst := buildInstance(t)
-	for _, policy := range []control.PolicyKind{control.PolicyWOLT, control.PolicyGreedy, control.PolicyRSSI} {
+	for _, policy := range []string{control.PolicyWOLT, control.PolicyGreedy, control.PolicyRSSI} {
 		assign, moves, err := associateViaControlPlane(inst, policy, 10*time.Second)
 		if err != nil {
 			t.Fatalf("%s: %v", policy, err)

@@ -19,8 +19,6 @@ type (
 	Agent = control.Agent
 	// ControllerStats is a controller snapshot.
 	ControllerStats = control.Stats
-	// ControllerPolicy selects the controller's association policy.
-	ControllerPolicy = control.PolicyKind
 )
 
 // Controller policies.

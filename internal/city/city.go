@@ -151,7 +151,7 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.Budget == (strategy.Budget{}) {
 		switch cfg.Policy {
-		case "wolt-hillclimb", "wolt-kopt", "wolt-anneal", "wolt-incremental":
+		case "wolt-hillclimb", "wolt-incremental":
 			cfg.Budget = strategy.Budget{Probes: 200}
 		}
 	}

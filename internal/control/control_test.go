@@ -12,7 +12,7 @@ import (
 const testTimeout = 5 * time.Second
 
 // fig3Server starts a controller managing the paper's Fig 3 network.
-func fig3Server(t *testing.T, policy PolicyKind) *Server {
+func fig3Server(t *testing.T, policy string) *Server {
 	t.Helper()
 	s, err := NewServer("127.0.0.1:0", ServerConfig{
 		PLCCaps:   []float64{60, 20},
@@ -414,7 +414,7 @@ func TestWaitForMoveTimeout(t *testing.T) {
 // the exhaustive "optimal" strategy must fail with the typed sentinel's
 // message rather than hand the user an arbitrary extender.
 func TestOfflineOnlyPolicySurfacesTypedError(t *testing.T) {
-	s := fig3Server(t, PolicyKind("optimal"))
+	s := fig3Server(t, "optimal")
 	a := dial(t, s, 1)
 	_, err := a.Join([]float64{15, 10}, nil, testTimeout)
 	if err == nil {

@@ -31,7 +31,7 @@ type ServerConfig struct {
 	Owned []int
 	// Policy is the association policy: a strategy-registry name
 	// (default PolicyWOLT), validated at NewServer time.
-	Policy PolicyKind
+	Policy string
 	// ModelOpts selects the evaluation model used by evaluation-driven
 	// policies.
 	ModelOpts model.Options

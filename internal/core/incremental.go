@@ -31,7 +31,7 @@ func assignWarm(cs *Scratch, n *model.Network, prev model.Assignment, budget int
 	default:
 		sopts.Budget.Moves = 0 // unlimited
 	}
-	sr, err := cs.warm.Search(warm.Ctx, n, prev, warm.Method, sopts)
+	sr, err := cs.warm.Search(warm.Ctx, n, prev, sopts)
 	if err != nil {
 		return nil, err
 	}

@@ -83,14 +83,12 @@ type Options struct {
 
 // WarmOptions configures the warm incremental path.
 type WarmOptions struct {
-	// Search tunes the local search (probe/time budget, neighborhood
-	// size, method-specific knobs). Search.Model is overwritten with
-	// the evalOpts of the AssignIncrementalWith call, and
-	// Search.Budget.Moves with its budget argument, so the move cap
-	// stays a single knob across both paths.
+	// Search carries the hill climb's probe/time budget.
+	// Search.Model is overwritten with the evalOpts of the
+	// AssignIncrementalWith call, and Search.Budget.Moves with its
+	// budget argument, so the move cap stays a single knob across both
+	// paths.
 	Search localsearch.Options
-	// Method selects the family member (default HillClimbing).
-	Method localsearch.Method
 	// Ctx makes the re-solve interruptible under the anytime contract;
 	// nil means context.Background().
 	Ctx context.Context

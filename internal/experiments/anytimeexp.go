@@ -12,19 +12,14 @@ import (
 	"github.com/plcwifi/wolt/internal/topology"
 )
 
-// anytimeStrategies are the local-search family members priced by the
-// quality-vs-budget curve, in table order.
-var anytimeStrategies = []string{"wolt-hillclimb", "wolt-kopt", "wolt-anneal"}
-
 // anytimeBudgets is the probe-budget sweep: 10^2 … 10^6 single-move
 // probes per cold solve.
 var anytimeBudgets = []int{100, 1_000, 10_000, 100_000, 1_000_000}
 
-// AnytimeRun is one (strategy, probe budget) cell of the curve. All
-// fields are deterministic for any worker count (wall-clock timings are
+// AnytimeRun is one probe-budget point of the curve. All fields are
+// deterministic for any worker count (wall-clock timings are
 // deliberately absent; bench-anytime.sh measures latency separately).
 type AnytimeRun struct {
-	Strategy string
 	// Budget is the probe cap handed to strategy.Config.Budget.Probes.
 	Budget int
 	// Aggregate is the achieved objective, re-scored by the full
@@ -37,10 +32,10 @@ type AnytimeRun struct {
 }
 
 // AnytimeResult is the quality-vs-probe-budget curve of the anytime
-// local-search family on one enterprise instance: every strategy solves
-// cold at each budget, and the achieved aggregate is compared against
-// the full two-phase WOLT solve (and the exhaustive optimum when the
-// instance is small enough to enumerate).
+// hill climb (wolt-hillclimb) on one enterprise instance: the climb
+// solves cold at each budget, and the achieved aggregate is compared
+// against the full two-phase WOLT solve (and the exhaustive optimum
+// when the instance is small enough to enumerate).
 type AnytimeResult struct {
 	Users, Extenders int
 	// WOLT is the full two-phase solve's aggregate — the quality
@@ -55,10 +50,10 @@ type AnytimeResult struct {
 
 // Anytime runs the quality-vs-probe-budget experiment: one enterprise
 // instance (Options.Users × Options.Extenders), the full WOLT reference
-// solve, then the (strategy × budget) grid fanned over Options.Workers
-// goroutines. Each cell owns a fresh strategy instance seeded only by
-// Options.Seed, so results are bit-identical for any worker count
-// (DESIGN.md §7; time budgets are never used here).
+// solve, then the budget points fanned over Options.Workers goroutines.
+// Each point owns a fresh strategy instance, so results are
+// bit-identical for any worker count (DESIGN.md §7; time budgets are
+// never used here).
 func Anytime(opts Options) (*AnytimeResult, error) {
 	opts = opts.withDefaults(1)
 	scen := NewEnterpriseScenario(opts.Extenders, opts.Users, opts.Seed)
@@ -95,14 +90,11 @@ func Anytime(opts Options) (*AnytimeResult, error) {
 		res.Optimal = model.Aggregate(inst.Net, optAssign, Redistribute)
 	}
 
-	cells := len(anytimeStrategies) * len(anytimeBudgets)
-	runs, err := parallel.Map(opts.context(), cells, opts.Workers, func(c int) (AnytimeRun, error) {
-		name := anytimeStrategies[c/len(anytimeBudgets)]
-		budget := anytimeBudgets[c%len(anytimeBudgets)]
+	runs, err := parallel.Map(opts.context(), len(anytimeBudgets), opts.Workers, func(c int) (AnytimeRun, error) {
+		budget := anytimeBudgets[c]
 		var got []strategy.Stats
-		st, err := strategy.New(name, strategy.Config{
+		st, err := strategy.New("wolt-hillclimb", strategy.Config{
 			ModelOpts: Redistribute,
-			Seed:      opts.Seed,
 			Budget:    strategy.Budget{Probes: budget},
 			Observer:  func(s strategy.Stats) { got = append(got, s) },
 		})
@@ -111,14 +103,13 @@ func Anytime(opts Options) (*AnytimeResult, error) {
 		}
 		assign, err := st.Solve(inst.Net)
 		if err != nil {
-			return AnytimeRun{}, fmt.Errorf("%s @ %d probes: %w", name, budget, err)
+			return AnytimeRun{}, fmt.Errorf("wolt-hillclimb @ %d probes: %w", budget, err)
 		}
 		if len(got) == 0 {
-			return AnytimeRun{}, fmt.Errorf("experiments: strategy %q emitted no stats", name)
+			return AnytimeRun{}, fmt.Errorf("experiments: wolt-hillclimb emitted no stats")
 		}
 		s := got[len(got)-1]
 		return AnytimeRun{
-			Strategy:  name,
 			Budget:    budget,
 			Aggregate: model.Aggregate(inst.Net, assign, Redistribute),
 			Probes:    s.DeltaProbes,
@@ -142,9 +133,9 @@ func (r *AnytimeResult) Tables() []Table {
 	}
 	t := Table{
 		Caption: fmt.Sprintf(
-			"Anytime local search — quality vs probe budget (%d users × %d extenders; WOLT %s Mbps; %s)",
+			"Anytime hill climb — quality vs probe budget (%d users × %d extenders; WOLT %s Mbps; %s)",
 			r.Users, r.Extenders, f1(r.WOLT), optCaption),
-		Header: []string{"strategy", "probe budget", "aggregate Mbps",
+		Header: []string{"probe budget", "aggregate Mbps",
 			"vs WOLT", "vs optimal", "probes", "commits", "improving", "stop"},
 	}
 	for _, run := range r.Runs {
@@ -153,7 +144,7 @@ func (r *AnytimeResult) Tables() []Table {
 			vsOpt = f2(stats.Ratio(run.Aggregate, r.Optimal))
 		}
 		t.Rows = append(t.Rows, []string{
-			run.Strategy, strconv.Itoa(run.Budget), f1(run.Aggregate),
+			strconv.Itoa(run.Budget), f1(run.Aggregate),
 			f2(stats.Ratio(run.Aggregate, r.WOLT)), vsOpt,
 			strconv.Itoa(run.Probes), strconv.Itoa(run.Commits),
 			strconv.Itoa(run.Improving), run.Stop,

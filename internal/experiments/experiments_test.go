@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -403,13 +404,13 @@ func TestQoSShape(t *testing.T) {
 // TestAnytimeCurve runs the quality-vs-probe-budget experiment on an
 // instance small enough to enumerate, so the optimal column is live:
 // no budgeted run may beat the exhaustive optimum, and the
-// deterministic climbers (hillclimb, kopt) must be monotone in budget.
+// deterministic climb must be monotone in budget.
 func TestAnytimeCurve(t *testing.T) {
 	res, err := Anytime(Options{Seed: 7, Users: 8, Extenders: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := len(anytimeStrategies) * len(anytimeBudgets); len(res.Runs) != want {
+	if want := len(anytimeBudgets); len(res.Runs) != want {
 		t.Fatalf("got %d runs, want %d", len(res.Runs), want)
 	}
 	if res.WOLT <= 0 {
@@ -418,39 +419,53 @@ func TestAnytimeCurve(t *testing.T) {
 	if res.Optimal <= 0 {
 		t.Fatal("8 users x 4 extenders should be enumerable")
 	}
-	prev := map[string]float64{}
+	prev := 0.0
 	for _, run := range res.Runs {
 		if run.Aggregate <= 0 {
-			t.Errorf("%s @ %d: non-positive aggregate", run.Strategy, run.Budget)
+			t.Errorf("@ %d: non-positive aggregate", run.Budget)
 		}
 		if run.Aggregate > res.Optimal+1e-9 {
-			t.Errorf("%s @ %d: aggregate %v beats optimal %v",
-				run.Strategy, run.Budget, run.Aggregate, res.Optimal)
+			t.Errorf("@ %d: aggregate %v beats optimal %v", run.Budget, run.Aggregate, res.Optimal)
 		}
 		if run.Probes > run.Budget {
-			t.Errorf("%s @ %d: %d probes exceed the budget",
-				run.Strategy, run.Budget, run.Probes)
+			t.Errorf("@ %d: %d probes exceed the budget", run.Budget, run.Probes)
 		}
 		if run.Stop == "" {
-			t.Errorf("%s @ %d: empty stop reason", run.Strategy, run.Budget)
+			t.Errorf("@ %d: empty stop reason", run.Budget)
 		}
-		// Hill climbing and k-opt follow one deterministic trajectory;
-		// a larger budget only ever extends it.
-		if run.Strategy != "wolt-anneal" {
-			if p, ok := prev[run.Strategy]; ok && run.Aggregate < p-1e-9 {
-				t.Errorf("%s @ %d: aggregate %v below smaller budget's %v",
-					run.Strategy, run.Budget, run.Aggregate, p)
-			}
-			prev[run.Strategy] = run.Aggregate
+		// The climb follows one deterministic trajectory; a larger
+		// budget only ever extends it.
+		if run.Aggregate < prev-1e-9 {
+			t.Errorf("@ %d: aggregate %v below smaller budget's %v", run.Budget, run.Aggregate, prev)
 		}
+		prev = run.Aggregate
 	}
-	// At the top budget every strategy should have converged close to
-	// the WOLT reference on an instance this small.
-	for _, run := range res.Runs {
-		if run.Budget == anytimeBudgets[len(anytimeBudgets)-1] && run.Aggregate < 0.9*res.WOLT {
-			t.Errorf("%s @ %d: aggregate %v below 0.9x WOLT %v",
-				run.Strategy, run.Budget, run.Aggregate, res.WOLT)
-		}
+	// At the top budget the climb should have converged close to the
+	// WOLT reference on an instance this small.
+	if top := res.Runs[len(res.Runs)-1]; top.Aggregate < 0.9*res.WOLT {
+		t.Errorf("@ %d: aggregate %v below 0.9x WOLT %v", top.Budget, top.Aggregate, res.WOLT)
 	}
 	assertRenders(t, res)
+}
+
+// TestAnytimeHillClimbPinned pins the hill-climb curve of the 120-user
+// × 16-extender enterprise instance at seed 1 exactly: aggregate (==,
+// not ≈), probes, commits, improving moves and stop reason at every
+// budget. Any change to the climb's visit order, move acceptance or
+// budget accounting shows up here.
+func TestAnytimeHillClimbPinned(t *testing.T) {
+	res, err := Anytime(Options{Seed: 1, Users: 120, Extenders: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []AnytimeRun{
+		{Budget: 100, Aggregate: 480.386418657454, Probes: 100, Commits: 13, Improving: 0, Stop: "probes"},
+		{Budget: 1_000, Aggregate: 567.212195255239, Probes: 1000, Commits: 120, Improving: 0, Stop: "probes"},
+		{Budget: 10_000, Aggregate: 581.0401600848314, Probes: 4320, Commits: 176, Improving: 56, Stop: "optimum"},
+		{Budget: 100_000, Aggregate: 581.0401600848314, Probes: 4320, Commits: 176, Improving: 56, Stop: "optimum"},
+		{Budget: 1_000_000, Aggregate: 581.0401600848314, Probes: 4320, Commits: 176, Improving: 56, Stop: "optimum"},
+	}
+	if !reflect.DeepEqual(res.Runs, want) {
+		t.Fatalf("hill-climb curve drifted:\n got %+v\nwant %+v", res.Runs, want)
+	}
 }

@@ -103,17 +103,16 @@ func warmSetup() {
 	}
 }
 
-// benchWarmResolve measures one warm re-solve at the given method and
-// probe budget, reporting the objective gap vs the full solve as
-// "gap_pct" (the acceptance target is ≤ 3%).
-func benchWarmResolve(b *testing.B, method localsearch.Method, probes int) {
+// benchWarmResolve measures one warm re-solve at the given probe
+// budget, reporting the objective gap vs the full solve as "gap_pct"
+// (the acceptance target is ≤ 3%).
+func benchWarmResolve(b *testing.B, probes int) {
 	warmOnce.Do(warmSetup)
 	if warmErr != nil {
 		b.Fatal(warmErr)
 	}
 	opts := localsearch.Options{
 		Model:  model.Options{Redistribute: true},
-		Seed:   2020,
 		Budget: localsearch.Budget{Probes: probes},
 	}
 	ctx := context.Background()
@@ -122,7 +121,7 @@ func benchWarmResolve(b *testing.B, method localsearch.Method, probes int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := s.Search(ctx, warm.net, warm.churned, method, opts)
+		res, err := s.Search(ctx, warm.net, warm.churned, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -142,15 +141,7 @@ func benchWarmResolve(b *testing.B, method localsearch.Method, probes int) {
 func BenchmarkWarmResolve(b *testing.B) {
 	for _, probes := range []int{100, 500, 1000, 2000, 10000} {
 		b.Run(fmt.Sprintf("hillclimb/probes=%d", probes), func(b *testing.B) {
-			benchWarmResolve(b, localsearch.HillClimbing, probes)
+			benchWarmResolve(b, probes)
 		})
 	}
-}
-
-func BenchmarkWarmResolveKOpt(b *testing.B) {
-	benchWarmResolve(b, localsearch.KOpt, 2000)
-}
-
-func BenchmarkWarmResolveAnneal(b *testing.B) {
-	benchWarmResolve(b, localsearch.Annealing, 2000)
 }

@@ -145,7 +145,7 @@ func TestWarmPathAllocs(t *testing.T) {
 	n, start := searchInstance(11, 6, 300)
 	opts := Options{Model: model.Options{Redistribute: true}, Budget: Budget{Probes: 200}}
 	var s Searcher
-	if _, err := s.Search(context.Background(), n, start, HillClimbing, opts); err != nil {
+	if _, err := s.Search(context.Background(), n, start, opts); err != nil {
 		t.Fatal(err)
 	}
 	var climbs int
@@ -167,7 +167,7 @@ func TestWarmPathAllocs(t *testing.T) {
 	}
 
 	n.Invalidate()
-	s.cands.Ensure(n, opts.neighborhood())
+	s.cands.Ensure(n, DefaultNeighborhood)
 	user := 0
 	if allocs := testing.AllocsPerRun(100, func() {
 		s.cands.For(user)
@@ -175,7 +175,7 @@ func TestWarmPathAllocs(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("Candidates.For allocates %v per lazy build, want 0", allocs)
 	}
-	if got, want := s.cands.For(0), eagerCandidates(n, 0, opts.neighborhood()); !slices.Equal(got, want) {
+	if got, want := s.cands.For(0), eagerCandidates(n, 0, DefaultNeighborhood); !slices.Equal(got, want) {
 		t.Errorf("For(0) = %v, want %v", got, want)
 	}
 }

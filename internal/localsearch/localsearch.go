@@ -1,7 +1,7 @@
-// Package localsearch implements the delta-native anytime local-search
-// family: best-swap hill climbing, k-opt eject/reinsert chains, and
-// simulated annealing over user→extender associations, all built on
-// model.DeltaEval's O(Δ) ProbeMove/Commit primitives (DESIGN.md §10).
+// Package localsearch implements the delta-native anytime warm search:
+// deficit-ordered best-move hill climbing over user→extender
+// associations, built on model.DeltaEval's O(Δ) ProbeMove/Commit
+// primitives (DESIGN.md §10).
 //
 // The package exists for the warm path. A full WOLT solve (Hungarian
 // Phase I + NLP Phase II) costs ~1.25s at enterprise scale; a single
@@ -17,14 +17,13 @@
 //
 // # Anytime contract
 //
-// Every search honors the same contract (DESIGN.md §11):
+// Every search honors this contract (DESIGN.md §11):
 //
 //   - It is interruptible at probe granularity: a context cancellation,
 //     an expired time budget, or an exhausted probe/move budget stops
 //     the search at the next checkpoint.
 //   - It always returns the best valid assignment found so far — never
-//     an error for running out of budget, never a half-applied chain
-//     (tentative k-opt commits are rolled back before returning).
+//     an error for running out of budget.
 //   - The returned aggregate is the committed evaluator state, which is
 //     bit-identical to a fresh model.EvaluateWith of the returned
 //     assignment (the differential tests assert ==, not ≈).
@@ -39,11 +38,9 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"time"
 
 	"github.com/plcwifi/wolt/internal/model"
-	"github.com/plcwifi/wolt/internal/seed"
 )
 
 // improveEps matches the strict-improvement threshold of
@@ -58,50 +55,16 @@ const improveEps = 1e-12
 // keeping the select off the hot loop.
 const checkEvery = 128
 
-// DefaultNeighborhood is the candidate-cache size M when Options leaves
-// it zero: each user may move only among its 8 best-rate extenders.
+// DefaultNeighborhood is the candidate-cache size M: each user may move
+// only among its 8 best-rate extenders.
 const DefaultNeighborhood = 8
-
-// DefaultDepth is the k-opt chain depth when Options leaves it zero.
-const DefaultDepth = 3
-
-// Method selects one member of the search family.
-type Method int
-
-const (
-	// HillClimbing commits the single best improving move per pass
-	// until no candidate move improves: the cheapest and most
-	// predictable member, and the one the warm solve paths use.
-	HillClimbing Method = iota
-	// KOpt first climbs to a single-move optimum, then escapes it with
-	// eject/reinsert chains up to Options.Depth moves deep, keeping the
-	// best improving prefix of each chain and rolling back the rest.
-	KOpt
-	// Annealing walks random candidate moves under a Metropolis
-	// acceptance rule with a geometrically cooled temperature, seeded
-	// from the seed.StrategyRand stream.
-	Annealing
-)
-
-// String returns the registry-style name of the method.
-func (m Method) String() string {
-	switch m {
-	case HillClimbing:
-		return "hillclimb"
-	case KOpt:
-		return "kopt"
-	case Annealing:
-		return "anneal"
-	}
-	return "unknown"
-}
 
 // StopReason records why a search returned.
 type StopReason int
 
 const (
-	// StopOptimum: no candidate move improves (hill climb / k-opt
-	// exhausted their neighborhoods; the natural end state).
+	// StopOptimum: no candidate move improves (the climb exhausted
+	// its neighborhoods; the natural end state).
 	StopOptimum StopReason = iota
 	// StopProbes: the probe budget ran out.
 	StopProbes
@@ -111,8 +74,6 @@ const (
 	StopTime
 	// StopCtx: the context was cancelled.
 	StopCtx
-	// StopFrozen: annealing cooled below its temperature floor.
-	StopFrozen
 )
 
 // String names the stop reason for stats and logs.
@@ -128,16 +89,13 @@ func (r StopReason) String() string {
 		return "time"
 	case StopCtx:
 		return "ctx"
-	case StopFrozen:
-		return "frozen"
 	}
 	return "unknown"
 }
 
 // Budget bounds a search. Zero or negative fields mean unlimited; an
-// all-zero Budget runs to the method's natural end (local optimum or
-// temperature floor). This is the one budget vocabulary shared with
-// strategy.Config.
+// all-zero Budget runs to the natural end, a single-move local optimum.
+// This is the one budget vocabulary shared with strategy.Config.
 type Budget struct {
 	// Probes caps ProbeMove evaluations, the search's unit of work and
 	// the deterministic way to bound it.
@@ -158,68 +116,13 @@ func (b Budget) Unlimited() bool {
 	return b.Probes <= 0 && b.Moves == 0 && b.Time <= 0
 }
 
-// AnnealOptions tunes the Annealing method. Zero values pick defaults
-// scaled to the instance, so the common configuration is empty.
-type AnnealOptions struct {
-	// InitTemp is the starting temperature in aggregate-throughput
-	// units (Mbps). Zero means 2% of the seed assignment's aggregate:
-	// early steps accept moves that cost up to a couple percent of the
-	// objective, late steps only improvements.
-	InitTemp float64
-	// Cooling is the per-step geometric factor in (0,1). Zero picks a
-	// schedule that reaches the temperature floor exactly when the
-	// probe budget runs out (or 0.9995 when the budget is unlimited),
-	// so the walk always gets a greedy final phase.
-	Cooling float64
-	// FloorFrac stops the walk when temperature falls below
-	// FloorFrac×InitTemp (StopFrozen). Zero means 1e-3.
-	FloorFrac float64
-}
-
 // Options configures a search.
 type Options struct {
 	// Model selects the throughput model the committed states are
 	// evaluated under (must match what the caller compares against).
 	Model model.Options
-	// Neighborhood is the candidate-cache size M: each user considers
-	// only its M best-rate extenders as move targets. Zero means
-	// DefaultNeighborhood; negative or ≥ NumExtenders means all
-	// reachable extenders.
-	Neighborhood int
-	// Depth is the k-opt chain length (KOpt only). Zero means
-	// DefaultDepth.
-	Depth int
-	// Seed roots the annealer's randomness via
-	// seed.Rand(Seed, seed.StrategyRand, 0) when Rng is nil.
-	Seed int64
-	// Rng, when non-nil, supplies the annealer's randomness directly
-	// (the strategy layer passes its per-instance generator here).
-	Rng *rand.Rand
-	// Anneal tunes the Annealing method.
-	Anneal AnnealOptions
 	// Budget bounds the search; see the anytime contract above.
 	Budget Budget
-}
-
-func (o Options) neighborhood() int {
-	if o.Neighborhood == 0 {
-		return DefaultNeighborhood
-	}
-	return o.Neighborhood
-}
-
-func (o Options) depth() int {
-	if o.Depth <= 0 {
-		return DefaultDepth
-	}
-	return o.Depth
-}
-
-func (o Options) rng() *rand.Rand {
-	if o.Rng != nil {
-		return o.Rng
-	}
-	return seed.Rand(o.Seed, seed.StrategyRand, 0)
 }
 
 // Result reports a finished search. All slices are caller-owned copies.
@@ -242,14 +145,14 @@ type Result struct {
 	// placed (they do not consume the move budget).
 	Placed int
 	// Probes counts delta probes actually evaluated, including the
-	// seeding pass and tentative k-opt chains.
+	// seeding pass.
 	Probes int
 	// Attaches counts full evaluator rebuilds: 1 when the search had to
 	// attach to (network, start), 0 when the Matches fast path reused
 	// the committed state of the previous search.
 	Attaches int
-	// Commits counts Commit operations applied, including k-opt
-	// rollbacks (it measures evaluator work, not net moves).
+	// Commits counts Commit operations applied: placements plus
+	// re-associations.
 	Commits int
 	// Improving counts strict improvements of the best-so-far
 	// score; Improving/Commits is the improving-move ratio
@@ -356,7 +259,7 @@ func (r *run) haltWith(reason StopReason) {
 	}
 }
 
-// Searcher owns the reusable state of the family: the delta evaluator,
+// Searcher owns the reusable state of the search: the delta evaluator,
 // the neighborhood cache, and the best-so-far buffers. Like
 // core.Scratch, a Searcher is not safe for concurrent use but amortizes
 // every allocation across repeated searches — the warm re-solve loop
@@ -372,19 +275,7 @@ type Searcher struct {
 
 	placed, commits, improving int
 
-	// k-opt chain scratch: the tentative move sequence and the set of
-	// users already ejected in the current chain.
-	chainUser []int
-	chainFrom []int
-	chainTo   []int
-	moved     []bool
-	movedList []int
-
-	// anneal scratch: users that have at least one candidate, so the
-	// random draw can never spin on an unreachable user.
-	movable []int
-
-	// hill-climb scratch: the deficit-ordered sweep heap.
+	// sweep is the deficit-ordered visit heap of the current pass.
 	sweep deficitHeap
 }
 
@@ -450,29 +341,22 @@ func (h deficitHeap) down(k int) {
 	}
 }
 
-// Search runs one method of the family from the start assignment and
-// returns the best state found. The start may contain Unassigned
-// entries (arrivals); they are placed greedily first, free of the move
-// budget. The error is non-nil only for an invalid input (start fails
-// validation against n) — budget exhaustion and cancellation are
-// normal returns per the anytime contract.
-func (s *Searcher) Search(ctx context.Context, n *model.Network, start model.Assignment, method Method, opts Options) (*Result, error) {
+// Search hill-climbs from the start assignment and returns the best
+// state found. The start may contain Unassigned entries (arrivals);
+// they are placed greedily first, free of the move budget. The error is
+// non-nil only for an invalid input (start fails validation against n)
+// — budget exhaustion and cancellation are normal returns per the
+// anytime contract.
+func (s *Searcher) Search(ctx context.Context, n *model.Network, start model.Assignment, opts Options) (*Result, error) {
 	r := newRun(ctx, opts.Budget)
 	probesBefore, evalsBefore := s.delta.Probes, s.delta.Evals
 	if err := s.begin(n, start, opts, r); err != nil {
 		return nil, err
 	}
 	if !r.halted {
-		switch method {
-		case KOpt:
-			s.kopt(n, opts, r)
-		case Annealing:
-			s.anneal(n, opts, r)
-		default:
-			s.hillClimb(r)
-			if !r.halted {
-				r.stop = StopOptimum
-			}
+		s.hillClimb(r)
+		if !r.halted {
+			r.stop = StopOptimum
 		}
 	}
 	res := s.finish(r)
@@ -494,7 +378,7 @@ func (s *Searcher) Place(n *model.Network, assign model.Assignment, user int, op
 			return model.Unassigned, err
 		}
 	}
-	s.cands.Ensure(n, opts.neighborhood())
+	s.cands.Ensure(n, DefaultNeighborhood)
 	if got := s.delta.Assigned(user); got != model.Unassigned {
 		return model.Unassigned, fmt.Errorf("localsearch: Place(user %d): already assigned to %d", user, got)
 	}
@@ -513,21 +397,6 @@ func (s *Searcher) Place(n *model.Network, assign model.Assignment, user int, op
 	return bestTo, nil
 }
 
-// HillClimb is Search(ctx, n, start, HillClimbing, opts).
-func (s *Searcher) HillClimb(ctx context.Context, n *model.Network, start model.Assignment, opts Options) (*Result, error) {
-	return s.Search(ctx, n, start, HillClimbing, opts)
-}
-
-// KOpt is Search(ctx, n, start, KOpt, opts).
-func (s *Searcher) KOpt(ctx context.Context, n *model.Network, start model.Assignment, opts Options) (*Result, error) {
-	return s.Search(ctx, n, start, KOpt, opts)
-}
-
-// Anneal is Search(ctx, n, start, Annealing, opts).
-func (s *Searcher) Anneal(ctx context.Context, n *model.Network, start model.Assignment, opts Options) (*Result, error) {
-	return s.Search(ctx, n, start, Annealing, opts)
-}
-
 // begin attaches the evaluator to (n, start), refreshes the candidate
 // cache, places unassigned users, and snapshots the post-placement
 // state as the initial best.
@@ -537,7 +406,7 @@ func (s *Searcher) begin(n *model.Network, start model.Assignment, opts Options,
 			return err
 		}
 	}
-	s.cands.Ensure(n, opts.neighborhood())
+	s.cands.Ensure(n, DefaultNeighborhood)
 	s.util = opts.Model.Utility
 	s.placed, s.commits, s.improving = 0, 0, 0
 	s.place(n, r)
@@ -672,218 +541,6 @@ func (s *Searcher) sweepOrder() {
 		s.sweep = append(s.sweep, sweepEntry{s.util.Deficit(rates[i][head], cur), i})
 	}
 	s.sweep.init()
-}
-
-// kopt escapes single-move local optima with eject/reinsert chains:
-// climb to an optimum, then from each seed user build a chain of up to
-// depth moves — move the user to its best candidate even if that
-// worsens the objective, then eject the weakest member of the
-// destination cell and continue. The best improving prefix of the
-// chain is kept; the rest is rolled back by committing the moves in
-// reverse, which restores the evaluator bit-identically (DESIGN.md
-// §10: a cell's sum depends only on its member set). When any chain
-// improves, the climb restarts, Lin-Kernighan style.
-func (s *Searcher) kopt(n *model.Network, opts Options, r *run) {
-	depth := opts.depth()
-	if cap(s.moved) < len(s.best) {
-		s.moved = make([]bool, len(s.best))
-	}
-	s.moved = s.moved[:len(s.best)]
-	for {
-		s.hillClimb(r)
-		if r.halted {
-			return
-		}
-		improved := false
-		for u := 0; u < len(s.best); u++ {
-			if s.tryChain(n, u, depth, r) {
-				improved = true
-			}
-			if r.halted {
-				return
-			}
-		}
-		if !improved {
-			r.stop = StopOptimum
-			return
-		}
-	}
-}
-
-// tryChain builds one eject/reinsert chain seeded at user u and keeps
-// its best improving prefix. Returns whether the best aggregate
-// improved. On any exit — including budget exhaustion mid-chain — every
-// tentative commit beyond the kept prefix has been rolled back.
-func (s *Searcher) tryChain(n *model.Network, u0 int, depth int, r *run) bool {
-	s.chainUser = s.chainUser[:0]
-	s.chainFrom = s.chainFrom[:0]
-	s.chainTo = s.chainTo[:0]
-	for _, u := range s.movedList {
-		s.moved[u] = false
-	}
-	s.movedList = s.movedList[:0]
-
-	bestDepth := 0
-	bestChainSc := s.bestScore
-	u := u0
-	for len(s.chainUser) < depth {
-		from := s.delta.Assigned(u)
-		if from == model.Unassigned {
-			break
-		}
-		bestTo := -1
-		bestSc := model.Score{Primary: math.Inf(-1), Tie: math.Inf(-1)}
-		for _, to := range s.cands.For(u) {
-			to := int(to)
-			if to == from {
-				continue
-			}
-			if !r.takeProbe() {
-				break
-			}
-			if sc := s.delta.ProbeMoveScore(u, from, to); sc.Better(bestSc) {
-				bestTo, bestSc = to, sc
-			}
-		}
-		if bestTo < 0 {
-			break
-		}
-		s.delta.Commit(u, from, bestTo)
-		s.commits++
-		s.chainUser = append(s.chainUser, u)
-		s.chainFrom = append(s.chainFrom, from)
-		s.chainTo = append(s.chainTo, bestTo)
-		s.moved[u] = true
-		s.movedList = append(s.movedList, u)
-		if bestSc.BetterEps(bestChainSc, improveEps) {
-			bestChainSc = bestSc
-			bestDepth = len(s.chainUser)
-		}
-		if r.halted {
-			break
-		}
-		// Eject the destination cell's weakest link (lowest rate to
-		// bestTo, lowest index on ties) that the chain hasn't moved
-		// yet: the member whose departure would help that cell most.
-		u = -1
-		worst := math.Inf(1)
-		for _, m := range s.delta.Members(bestTo) {
-			if s.moved[m] {
-				continue
-			}
-			if rate := n.WiFiRates[m][bestTo]; rate < worst {
-				u, worst = m, rate
-			}
-		}
-		if u < 0 {
-			break
-		}
-	}
-
-	// The move budget caps net re-associations: truncate the kept
-	// prefix to what remains.
-	if r.movesLeft >= 0 && bestDepth > r.movesLeft {
-		bestDepth = r.movesLeft
-		bestChainSc = s.bestScore // prefix score unknown; recheck below
-	}
-	for k := len(s.chainUser) - 1; k >= bestDepth; k-- {
-		s.delta.Commit(s.chainUser[k], s.chainTo[k], s.chainFrom[k])
-		s.commits++
-	}
-	if bestDepth == 0 {
-		return false
-	}
-	if s.delta.Score().BetterEps(s.bestScore, improveEps) {
-		for k := 0; k < bestDepth; k++ {
-			r.takeMove()
-		}
-		s.noteBest()
-		return true
-	}
-	// Truncation left a non-improving prefix: unwind it too.
-	for k := bestDepth - 1; k >= 0; k-- {
-		s.delta.Commit(s.chainUser[k], s.chainTo[k], s.chainFrom[k])
-		s.commits++
-	}
-	return false
-}
-
-// anneal performs a Metropolis walk over random candidate moves with a
-// geometrically cooled temperature: accept any improvement, accept a
-// degradation Δ<0 with probability exp(Δ/T). The best-so-far state is
-// tracked separately, so a wandering walk still returns its peak.
-func (s *Searcher) anneal(n *model.Network, opts Options, r *run) {
-	s.movable = s.movable[:0]
-	for i := 0; i < len(s.best); i++ {
-		if s.delta.Assigned(i) != model.Unassigned && len(s.cands.For(i)) > 0 {
-			s.movable = append(s.movable, i)
-		}
-	}
-	if len(s.movable) == 0 {
-		r.stop = StopOptimum
-		return
-	}
-
-	rng := opts.rng()
-	t0 := opts.Anneal.InitTemp
-	if t0 <= 0 {
-		// Utility units, not Mbps, when a non-zero utility is chosen:
-		// 2% of the seed score's magnitude (the aggregate under the
-		// zero utility, where |score| == score — today's temperature
-		// bit-for-bit).
-		t0 = 0.02 * math.Max(math.Abs(s.bestScore.Primary), 1)
-	}
-	floorFrac := opts.Anneal.FloorFrac
-	if floorFrac <= 0 {
-		floorFrac = 1e-3
-	}
-	cool := opts.Anneal.Cooling
-	if cool <= 0 || cool >= 1 {
-		if opts.Budget.Probes > 0 {
-			// Reach the floor exactly when the probe budget runs out,
-			// so every budget gets a full hot-to-greedy schedule.
-			cool = math.Pow(floorFrac, 1/float64(opts.Budget.Probes))
-		} else {
-			cool = 0.9995
-		}
-	}
-	floor := t0 * floorFrac
-
-	curScore := s.delta.Score()
-	temp := t0
-	for {
-		if temp < floor {
-			r.haltWith(StopFrozen)
-			return
-		}
-		i := s.movable[rng.Intn(len(s.movable))]
-		cl := s.cands.For(i)
-		to := int(cl[rng.Intn(len(cl))])
-		from := s.delta.Assigned(i)
-		if !r.takeProbe() {
-			return
-		}
-		// Metropolis Δ is the primary (utility) delta; the rng draw
-		// sequence — one Float64 per non-improving candidate — is
-		// independent of the utility choice, so the zero utility
-		// replays today's walk bit-for-bit.
-		sc := s.delta.ProbeMoveScore(i, from, to)
-		if to != from {
-			delta := sc.Primary - curScore.Primary
-			if delta > 0 || rng.Float64() < math.Exp(delta/temp) {
-				if !r.takeMove() {
-					return
-				}
-				s.delta.Commit(i, from, to)
-				s.commits++
-				curScore = s.delta.Score()
-				if curScore.BetterEps(s.bestScore, improveEps) {
-					s.noteBest()
-				}
-			}
-		}
-		temp *= cool
-	}
 }
 
 // finish assembles the caller-owned Result from the search state. The

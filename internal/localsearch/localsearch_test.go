@@ -43,8 +43,6 @@ func searchInstance(base int64, numExt, numUsers int) (*model.Network, model.Ass
 	return n, a
 }
 
-var allMethods = []Method{HillClimbing, KOpt, Annealing}
-
 // checkResult asserts the anytime contract's verifiable half: the
 // returned assignment is valid, its fresh full evaluation is
 // bit-identical to the reported aggregate, and the search never
@@ -74,21 +72,19 @@ func checkResult(t *testing.T, n *model.Network, res *Result, opts Options) *mod
 }
 
 // TestSearchMatchesFullEvaluation is the differential test of the
-// tentpole acceptance criterion: for every method, every budget, and
-// several instances, the end state equals a fresh full evaluation.
+// anytime contract: for every budget and several instances, the end
+// state equals a fresh full evaluation.
 func TestSearchMatchesFullEvaluation(t *testing.T) {
 	for _, base := range []int64{1, 7, 42, 2020} {
-		for _, method := range allMethods {
-			for _, probes := range []int{0, 50, 5000} {
-				n, start := searchInstance(base, 6, 40)
-				var s Searcher
-				opts := Options{Seed: base, Budget: Budget{Probes: probes}}
-				res, err := s.Search(context.Background(), n, start, method, opts)
-				if err != nil {
-					t.Fatalf("base=%d %v probes=%d: %v", base, method, probes, err)
-				}
-				checkResult(t, n, res, opts)
+		for _, probes := range []int{0, 50, 5000} {
+			n, start := searchInstance(base, 6, 40)
+			var s Searcher
+			opts := Options{Budget: Budget{Probes: probes}}
+			res, err := s.Search(context.Background(), n, start, opts)
+			if err != nil {
+				t.Fatalf("base=%d probes=%d: %v", base, probes, err)
 			}
+			checkResult(t, n, res, opts)
 		}
 	}
 }
@@ -110,7 +106,7 @@ func TestSearchImprovesOverStart(t *testing.T) {
 	}
 	var s Searcher
 	opts := Options{}
-	res, err := s.HillClimb(context.Background(), n, start, opts)
+	res, err := s.Search(context.Background(), n, start, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,26 +119,6 @@ func TestSearchImprovesOverStart(t *testing.T) {
 	}
 	if res.Improving == 0 || res.Commits == 0 || res.Probes == 0 {
 		t.Fatalf("counters not populated: %+v", res)
-	}
-}
-
-// TestKOptAtLeastHillClimb: k-opt starts from the hill-climb optimum,
-// so with unlimited budget it can never end below it.
-func TestKOptAtLeastHillClimb(t *testing.T) {
-	for _, base := range []int64{5, 11, 17} {
-		n, start := searchInstance(base, 8, 60)
-		var s Searcher
-		hc, err := s.HillClimb(context.Background(), n, start, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ko, err := s.KOpt(context.Background(), n, start, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ko.Aggregate < hc.Aggregate {
-			t.Fatalf("base=%d: k-opt %v < hill climb %v", base, ko.Aggregate, hc.Aggregate)
-		}
 	}
 }
 
@@ -163,7 +139,7 @@ func TestSearchPlacesArrivals(t *testing.T) {
 	// placements stay free: every reachable arrival must end assigned.
 	var s Searcher
 	opts := Options{Budget: Budget{Moves: 1}}
-	res, err := s.HillClimb(context.Background(), n, start, opts)
+	res, err := s.Search(context.Background(), n, start, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,33 +166,33 @@ func TestSearchCtxCancellation(t *testing.T) {
 	n, start := searchInstance(13, 8, 80)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already cancelled: search must do no improving work
-	for _, method := range allMethods {
-		var s Searcher
-		opts := Options{Seed: 13}
-		res, err := s.Search(ctx, n, start, method, opts)
-		if err != nil {
-			t.Fatalf("%v: %v", method, err)
-		}
-		if res.Stop != StopCtx {
-			t.Fatalf("%v: stop = %v, want StopCtx", method, res.Stop)
-		}
-		var scratch model.EvalScratch
-		full, err := model.EvaluateWith(&scratch, n, res.Assign, opts.Model)
-		if err != nil {
-			t.Fatalf("%v: cancelled search returned invalid assignment: %v", method, err)
-		}
-		if full.Aggregate != res.Aggregate {
-			t.Fatalf("%v: aggregate mismatch under cancellation", method)
-		}
+	var s Searcher
+	opts := Options{}
+	res, err := s.Search(ctx, n, start, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stop != StopCtx {
+		t.Fatalf("stop = %v, want StopCtx", res.Stop)
+	}
+	if res.Probes != 0 || res.Commits != 0 {
+		t.Fatalf("cancelled search did work: %d probes, %d commits", res.Probes, res.Commits)
+	}
+	var scratch model.EvalScratch
+	full, err := model.EvaluateWith(&scratch, n, res.Assign, opts.Model)
+	if err != nil {
+		t.Fatalf("cancelled search returned invalid assignment: %v", err)
+	}
+	if full.Aggregate != res.Aggregate {
+		t.Fatal("aggregate mismatch under cancellation")
 	}
 
 	// Cancellation mid-search: run with a context that dies after a few
 	// checkpoints' worth of wall time and confirm validity either way.
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 200*time.Microsecond)
 	defer cancel2()
-	var s Searcher
-	opts := Options{Seed: 13}
-	res, err := s.Anneal(ctx2, n, start, opts)
+	var s2 Searcher
+	res, err = s2.Search(ctx2, n, start, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,8 +205,8 @@ func TestSearchProbeBudgetExact(t *testing.T) {
 	n, start := searchInstance(21, 8, 80)
 	for _, budget := range []int{1, 10, 100, 1000} {
 		var s Searcher
-		opts := Options{Seed: 21, Budget: Budget{Probes: budget}}
-		res, err := s.HillClimb(context.Background(), n, start, opts)
+		opts := Options{Budget: Budget{Probes: budget}}
+		res, err := s.Search(context.Background(), n, start, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,9 +223,9 @@ func TestSearchProbeBudgetExact(t *testing.T) {
 func TestSearchTimeBudget(t *testing.T) {
 	n, start := searchInstance(23, 16, 400)
 	var s Searcher
-	opts := Options{Seed: 23, Budget: Budget{Time: 100 * time.Microsecond}}
+	opts := Options{Budget: Budget{Time: 100 * time.Microsecond}}
 	startT := time.Now()
-	res, err := s.Anneal(context.Background(), n, start, opts)
+	res, err := s.Search(context.Background(), n, start, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,31 +240,30 @@ func TestSearchTimeBudget(t *testing.T) {
 // across repeated runs and across fresh vs reused Searchers.
 func TestSearchDeterministic(t *testing.T) {
 	n, start := searchInstance(31, 8, 60)
-	for _, method := range allMethods {
-		opts := Options{Seed: 31, Budget: Budget{Probes: 4000}}
-		var s1 Searcher
-		r1, err := s1.Search(context.Background(), n, start, method, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var s2 Searcher
-		// Warm the second searcher with an unrelated search first: the
-		// reused scratch must not leak into the next result.
-		if _, err := s2.Search(context.Background(), n, start, Annealing, Options{Seed: 99, Budget: Budget{Probes: 500}}); err != nil {
-			t.Fatal(err)
-		}
-		r2, err := s2.Search(context.Background(), n, start, method, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r1.Aggregate != r2.Aggregate || r1.Probes != r2.Probes || r1.Commits != r2.Commits {
-			t.Fatalf("%v: runs diverged: (%v,%d,%d) vs (%v,%d,%d)", method,
-				r1.Aggregate, r1.Probes, r1.Commits, r2.Aggregate, r2.Probes, r2.Commits)
-		}
-		for i := range r1.Assign {
-			if r1.Assign[i] != r2.Assign[i] {
-				t.Fatalf("%v: assignments diverged at user %d", method, i)
-			}
+	opts := Options{Budget: Budget{Probes: 4000}}
+	var s1 Searcher
+	r1, err := s1.Search(context.Background(), n, start, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var s2 Searcher
+	// Warm the second searcher with an unrelated search first: the
+	// reused scratch must not leak into the next result.
+	other, otherStart := searchInstance(99, 8, 60)
+	if _, err := s2.Search(context.Background(), other, otherStart, Options{Budget: Budget{Probes: 500}}); err != nil {
+		t.Fatal(err)
+	}
+	r2, err := s2.Search(context.Background(), n, start, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r1.Aggregate != r2.Aggregate || r1.Probes != r2.Probes || r1.Commits != r2.Commits {
+		t.Fatalf("runs diverged: (%v,%d,%d) vs (%v,%d,%d)",
+			r1.Aggregate, r1.Probes, r1.Commits, r2.Aggregate, r2.Probes, r2.Commits)
+	}
+	for i := range r1.Assign {
+		if r1.Assign[i] != r2.Assign[i] {
+			t.Fatalf("assignments diverged at user %d", i)
 		}
 	}
 }
@@ -347,31 +322,25 @@ func TestSearchInvalidStart(t *testing.T) {
 	bad := start.Clone()
 	bad[0] = n.NumExtenders() + 5
 	var s Searcher
-	if _, err := s.HillClimb(context.Background(), n, bad, Options{}); err == nil {
+	if _, err := s.Search(context.Background(), n, bad, Options{}); err == nil {
 		t.Fatal("expected validation error for out-of-range assignment")
 	}
 }
 
-// FuzzSearchVsFull drives all three methods over fuzzer-chosen
-// instances and budgets, holding the bit-identity invariant: the end
-// state must equal a fresh full EvaluateWith.
+// FuzzSearchVsFull drives the hill climb over fuzzer-chosen instances
+// and budgets, holding the bit-identity invariant: the end state must
+// equal a fresh full EvaluateWith.
 func FuzzSearchVsFull(f *testing.F) {
-	f.Add(int64(1), uint8(4), uint8(24), uint16(400), uint8(0))
-	f.Add(int64(42), uint8(8), uint8(60), uint16(2000), uint8(1))
-	f.Add(int64(7), uint8(3), uint8(10), uint16(0), uint8(2))
-	f.Fuzz(func(t *testing.T, base int64, numExt, numUsers uint8, probes uint16, method uint8) {
+	f.Add(int64(1), uint8(4), uint8(24), uint16(400))
+	f.Add(int64(42), uint8(8), uint8(60), uint16(2000))
+	f.Add(int64(7), uint8(3), uint8(10), uint16(0))
+	f.Fuzz(func(t *testing.T, base int64, numExt, numUsers uint8, probes uint16) {
 		ne := 1 + int(numExt)%16
 		nu := 1 + int(numUsers)%96
-		m := allMethods[int(method)%len(allMethods)]
 		n, start := searchInstance(base, ne, nu)
 		var s Searcher
-		opts := Options{Seed: base, Budget: Budget{Probes: int(probes)}}
-		if m == Annealing && opts.Budget.Probes == 0 {
-			// Unbudgeted annealing runs the full fixed cooling
-			// schedule (~14k steps); keep fuzz iterations fast.
-			opts.Budget.Probes = 3000
-		}
-		res, err := s.Search(context.Background(), n, start, m, opts)
+		opts := Options{Budget: Budget{Probes: int(probes)}}
+		res, err := s.Search(context.Background(), n, start, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -37,7 +37,7 @@ func TestHillClimbFollowsUtility(t *testing.T) {
 	// the throughput optimum (move u2 off the shared extender).
 	var s Searcher
 	opts := Options{Model: model.Options{Redistribute: true}}
-	res, err := s.Search(context.Background(), n, aJoin, HillClimbing, opts)
+	res, err := s.Search(context.Background(), n, aJoin, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestHillClimbFollowsUtility(t *testing.T) {
 	// walk back to the fair one.
 	var sm Searcher
 	mmOpts := Options{Model: model.Options{Redistribute: true, Utility: model.MaxMinFairness()}}
-	mmRes, err := sm.Search(context.Background(), n, bJoin, HillClimbing, mmOpts)
+	mmRes, err := sm.Search(context.Background(), n, bJoin, mmOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,8 +66,8 @@ func TestHillClimbFollowsUtility(t *testing.T) {
 }
 
 // TestSearchUtilityMatchesFullEvaluation extends the differential
-// anytime contract across the utility family: for every method and
-// several instances, the reported Utility and Aggregate are
+// anytime contract across the utility family: for several instances,
+// the reported Utility and Aggregate are
 // bit-identical (==) to a fresh full EvaluateWith of the returned
 // assignment under the same options.
 func TestSearchUtilityMatchesFullEvaluation(t *testing.T) {
@@ -80,33 +80,25 @@ func TestSearchUtilityMatchesFullEvaluation(t *testing.T) {
 	var scratch model.EvalScratch
 	for _, u := range utilities {
 		for _, base := range []int64{1, 42, 2020} {
-			for _, method := range allMethods {
-				n, start := searchInstance(base, 6, 40)
-				var s Searcher
-				opts := Options{
-					Seed:  base,
-					Model: model.Options{Redistribute: true, Utility: u},
-				}
-				res, err := s.Search(context.Background(), n, start, method, opts)
-				if err != nil {
-					t.Fatalf("%v base=%d %v: %v", u, base, method, err)
-				}
-				full, err := model.EvaluateWith(&scratch, n, res.Assign, opts.Model)
-				if err != nil {
-					t.Fatalf("%v base=%d %v: returned assignment invalid: %v", u, base, method, err)
-				}
-				if res.Utility != full.Utility {
-					t.Fatalf("%v base=%d %v: Utility %v != fresh EvaluateWith %v",
-						u, base, method, res.Utility, full.Utility)
-				}
-				if res.Aggregate != full.Aggregate {
-					t.Fatalf("%v base=%d %v: Aggregate %v != fresh EvaluateWith %v",
-						u, base, method, res.Aggregate, full.Aggregate)
-				}
-				if res.Utility < res.Start {
-					t.Fatalf("%v base=%d %v: search lost ground: %v < start %v",
-						u, base, method, res.Utility, res.Start)
-				}
+			n, start := searchInstance(base, 6, 40)
+			var s Searcher
+			opts := Options{Model: model.Options{Redistribute: true, Utility: u}}
+			res, err := s.Search(context.Background(), n, start, opts)
+			if err != nil {
+				t.Fatalf("%v base=%d: %v", u, base, err)
+			}
+			full, err := model.EvaluateWith(&scratch, n, res.Assign, opts.Model)
+			if err != nil {
+				t.Fatalf("%v base=%d: returned assignment invalid: %v", u, base, err)
+			}
+			if res.Utility != full.Utility {
+				t.Fatalf("%v base=%d: Utility %v != fresh EvaluateWith %v", u, base, res.Utility, full.Utility)
+			}
+			if res.Aggregate != full.Aggregate {
+				t.Fatalf("%v base=%d: Aggregate %v != fresh EvaluateWith %v", u, base, res.Aggregate, full.Aggregate)
+			}
+			if res.Utility < res.Start {
+				t.Fatalf("%v base=%d: search lost ground: %v < start %v", u, base, res.Utility, res.Start)
 			}
 		}
 	}

@@ -189,16 +189,6 @@ func (d *DeltaEval) AppendAssignment(dst Assignment) Assignment {
 	return append(dst[:0], d.assign...)
 }
 
-// Members returns cell j's committed member list, ascending by user
-// index. The slice is owned by the evaluator — callers must not mutate
-// it, and it is valid only until the next Commit or Attach. Chain
-// searches (k-opt eject/reinsert) use it to pick the user displaced by
-// a move without rebuilding per-cell tables of their own.
-func (d *DeltaEval) Members(j int) []int {
-	d.check()
-	return d.members[j]
-}
-
 // ProbeMove returns the aggregate throughput the network would have if
 // user i moved from extender `from` (its committed cell) to extender
 // `to`; either end may be Unassigned. The committed state is untouched

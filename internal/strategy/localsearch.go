@@ -7,13 +7,13 @@ import (
 	"github.com/plcwifi/wolt/internal/model"
 )
 
+const hillClimbName = "wolt-hillclimb"
+
 func init() {
-	Register("wolt-hillclimb", newLocalSearch("wolt-hillclimb", localsearch.HillClimbing))
-	Register("wolt-kopt", newLocalSearch("wolt-kopt", localsearch.KOpt))
-	Register("wolt-anneal", newLocalSearch("wolt-anneal", localsearch.Annealing))
+	Register(hillClimbName, newLocalSearch)
 }
 
-// lsStrategy adapts the internal/localsearch family to the registry:
+// lsStrategy adapts the internal/localsearch hill climb to the registry:
 // Solve searches from an empty association (placement seeds it),
 // Reassign searches from the previous one — the warm path that makes
 // per-epoch re-solves sub-millisecond — and Add places one arrival
@@ -21,43 +21,30 @@ func init() {
 // Config.Budget and Config.Ctx under the anytime contract (DESIGN.md
 // §11): they always return the best-so-far valid association.
 type lsStrategy struct {
-	name   string
-	method localsearch.Method
 	cfg    Config
 	opts   localsearch.Options
 	search localsearch.Searcher
 	empty  model.Assignment
 }
 
-func newLocalSearch(name string, method localsearch.Method) Factory {
-	return func(cfg Config) Strategy {
-		opts := localsearch.Options{
-			Model:  cfg.ModelOpts,
-			Seed:   cfg.Seed,
-			Budget: cfg.Budget,
-		}
-		if cfg.Alpha != 0 {
-			// Config.Alpha re-aims the whole search family at the
-			// α-fair objective: deficit ordering, move acceptance and
-			// annealing temperature all follow the utility's Score.
-			opts.Model.Utility = model.AlphaFair(cfg.Alpha)
-		}
-		if method == localsearch.Annealing {
-			// Only the annealer draws randomness; hand it the
-			// instance rng so Config.Rng keeps working.
-			opts.Rng = cfg.Rng
-		}
-		return &lsStrategy{name: name, method: method, cfg: cfg, opts: opts}
+func newLocalSearch(cfg Config) Strategy {
+	opts := localsearch.Options{Model: cfg.ModelOpts, Budget: cfg.Budget}
+	if cfg.Alpha != 0 {
+		// Config.Alpha re-aims the search at the α-fair objective:
+		// deficit ordering and move acceptance both follow the
+		// utility's Score.
+		opts.Model.Utility = model.AlphaFair(cfg.Alpha)
 	}
+	return &lsStrategy{cfg: cfg, opts: opts}
 }
 
 // Name implements Strategy.
-func (s *lsStrategy) Name() string { return s.name }
+func (s *lsStrategy) Name() string { return hillClimbName }
 
 // lsStats builds the Stats record of one search.
-func lsStats(name string, n *model.Network, res *localsearch.Result, total time.Duration) Stats {
+func lsStats(n *model.Network, res *localsearch.Result, total time.Duration) Stats {
 	return Stats{
-		Strategy:    name,
+		Strategy:    hillClimbName,
 		Users:       n.NumUsers(),
 		Extenders:   n.NumExtenders(),
 		Total:       total,
@@ -97,11 +84,11 @@ func (s *lsStrategy) Reassign(n *model.Network, prev model.Assignment) (model.As
 
 func (s *lsStrategy) run(n *model.Network, start model.Assignment) (model.Assignment, error) {
 	t0 := time.Now()
-	res, err := s.search.Search(s.cfg.Ctx, n, start, s.method, s.opts)
+	res, err := s.search.Search(s.cfg.Ctx, n, start, s.opts)
 	if err != nil {
 		return nil, err
 	}
-	s.cfg.emit(lsStats(s.name, n, res, time.Since(t0)))
+	s.cfg.emit(lsStats(n, res, time.Since(t0)))
 	return res.Assign, nil
 }
 

@@ -7,12 +7,9 @@ import (
 	"github.com/plcwifi/wolt/internal/model"
 )
 
-var lsNames = []string{"wolt-hillclimb", "wolt-kopt", "wolt-anneal"}
-
 // TestLocalSearchWarmReassign: seeding the search from the full WOLT
-// solution must never lose quality — the anytime family's warm path
-// starts at the previous assignment and only commits improvements (or,
-// for anneal, tracks best-so-far).
+// solution must never lose quality — the warm path starts at the
+// previous assignment and only commits improvements.
 func TestLocalSearchWarmReassign(t *testing.T) {
 	n := testNetwork(t, 24, 4)
 	opts := model.Options{Redistribute: true}
@@ -29,37 +26,34 @@ func TestLocalSearchWarmReassign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range lsNames {
-		var last Stats
-		st, err := New(name, Config{
-			ModelOpts: opts,
-			Seed:      7,
-			Budget:    Budget{Probes: 5000},
-			Observer:  func(s Stats) { last = s },
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := st.(Reassigner).Reassign(n, full)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		res, err := model.EvaluateWith(&scratch, n, got, opts)
-		if err != nil {
-			t.Fatalf("%s: invalid reassignment: %v", name, err)
-		}
-		if res.Aggregate < fullRes.Aggregate {
-			t.Errorf("%s: warm reassign lost ground: %v < %v", name, res.Aggregate, fullRes.Aggregate)
-		}
-		if last.Aggregate != res.Aggregate {
-			t.Errorf("%s: Stats.Aggregate %v != fresh evaluation %v", name, last.Aggregate, res.Aggregate)
-		}
-		if last.DeltaProbes == 0 || last.DeltaProbes > 5000 {
-			t.Errorf("%s: DeltaProbes = %d, want in (0, 5000]", name, last.DeltaProbes)
-		}
-		if len(last.Trajectory) == 0 || last.Stop == "" {
-			t.Errorf("%s: anytime stats missing: %+v", name, last)
-		}
+	var last Stats
+	st, err := New("wolt-hillclimb", Config{
+		ModelOpts: opts,
+		Budget:    Budget{Probes: 5000},
+		Observer:  func(s Stats) { last = s },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := st.(Reassigner).Reassign(n, full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := model.EvaluateWith(&scratch, n, got, opts)
+	if err != nil {
+		t.Fatalf("invalid reassignment: %v", err)
+	}
+	if res.Aggregate < fullRes.Aggregate {
+		t.Errorf("warm reassign lost ground: %v < %v", res.Aggregate, fullRes.Aggregate)
+	}
+	if last.Aggregate != res.Aggregate {
+		t.Errorf("Stats.Aggregate %v != fresh evaluation %v", last.Aggregate, res.Aggregate)
+	}
+	if last.DeltaProbes == 0 || last.DeltaProbes > 5000 {
+		t.Errorf("DeltaProbes = %d, want in (0, 5000]", last.DeltaProbes)
+	}
+	if len(last.Trajectory) == 0 || last.Stop == "" {
+		t.Errorf("anytime stats missing: %+v", last)
 	}
 }
 
@@ -69,23 +63,21 @@ func TestLocalSearchCtxCancelled(t *testing.T) {
 	n := testNetwork(t, 24, 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, name := range lsNames {
-		var last Stats
-		st, err := New(name, Config{Seed: 7, Ctx: ctx, Observer: func(s Stats) { last = s }})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := st.Solve(n)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		var scratch model.EvalScratch
-		if _, err := model.EvaluateWith(&scratch, n, got, model.Options{}); err != nil {
-			t.Fatalf("%s: cancelled solve returned invalid assignment: %v", name, err)
-		}
-		if last.Stop != "ctx" {
-			t.Errorf("%s: Stop = %q, want ctx", name, last.Stop)
-		}
+	var last Stats
+	st, err := New("wolt-hillclimb", Config{Ctx: ctx, Observer: func(s Stats) { last = s }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := st.Solve(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var scratch model.EvalScratch
+	if _, err := model.EvaluateWith(&scratch, n, got, model.Options{}); err != nil {
+		t.Fatalf("cancelled solve returned invalid assignment: %v", err)
+	}
+	if last.Stop != "ctx" {
+		t.Errorf("Stop = %q, want ctx", last.Stop)
 	}
 }
 
@@ -93,27 +85,25 @@ func TestLocalSearchCtxCancelled(t *testing.T) {
 // partial assignment in place and returns the chosen extender.
 func TestLocalSearchOnlineAdd(t *testing.T) {
 	n := testNetwork(t, 10, 3)
-	for _, name := range lsNames {
-		st, err := New(name, Config{Seed: 3})
+	st, err := New("wolt-hillclimb", Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assign := make(model.Assignment, n.NumUsers())
+	for i := range assign {
+		assign[i] = model.Unassigned
+	}
+	for i := 0; i < n.NumUsers(); i++ {
+		j, err := st.(Online).Add(n, assign, i)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("Add(%d): %v", i, err)
 		}
-		assign := make(model.Assignment, n.NumUsers())
-		for i := range assign {
-			assign[i] = model.Unassigned
+		if j != assign[i] {
+			t.Fatalf("Add returned %d but wrote %d", j, assign[i])
 		}
-		for i := 0; i < n.NumUsers(); i++ {
-			j, err := st.(Online).Add(n, assign, i)
-			if err != nil {
-				t.Fatalf("%s: Add(%d): %v", name, i, err)
-			}
-			if j != assign[i] {
-				t.Fatalf("%s: Add returned %d but wrote %d", name, j, assign[i])
-			}
-		}
-		var scratch model.EvalScratch
-		if _, err := model.EvaluateWith(&scratch, n, assign, model.Options{}); err != nil {
-			t.Fatalf("%s: online-built assignment invalid: %v", name, err)
-		}
+	}
+	var scratch model.EvalScratch
+	if _, err := model.EvaluateWith(&scratch, n, assign, model.Options{}); err != nil {
+		t.Fatalf("online-built assignment invalid: %v", err)
 	}
 }

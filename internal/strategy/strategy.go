@@ -103,15 +103,15 @@ type Stats struct {
 	// Probes replace the full evaluations the probe loops performed
 	// before the rewire.
 	DeltaProbes int
-	// Commits counts committed delta moves of the local-search family,
-	// including k-opt chain rollbacks (evaluator work, not net moves);
-	// Improving counts strict improvements of the best-so-far
-	// aggregate. Improving/Commits is the improving-move ratio.
+	// Commits counts committed delta moves of the hill climb
+	// (placements plus re-associations); Improving counts strict
+	// improvements of the best-so-far aggregate. Improving/Commits is
+	// the improving-move ratio.
 	Commits   int
 	Improving int
 	// Aggregate is the solve's final total throughput (Mbps) and
 	// Utility its value under the solve's utility family (equal to
-	// Aggregate for sum-rate); Trajectory is the local-search family's
+	// Aggregate for sum-rate); Trajectory is the hill climb's
 	// best-so-far curve — entry 0 after seeding, then one entry per
 	// improvement. Nil for strategies that do not track it.
 	Aggregate  float64
@@ -143,9 +143,8 @@ type Config struct {
 	// Alpha is the fairness exponent consumed by the parameterized
 	// utility strategies: wolt-alpha solves under model.AlphaFair(Alpha)
 	// (0 = sum-rate, 1 = proportional fair, math.Inf(1) = max-min), and
-	// the local-search family adopts it as ModelOpts.Utility when
-	// non-zero. Fixed-utility strategies (wolt, wolt-pf, wolt-fair)
-	// ignore it.
+	// wolt-hillclimb adopts it as ModelOpts.Utility when non-zero.
+	// Fixed-utility strategies (wolt, wolt-pf) ignore it.
 	Alpha float64
 	// Seed derives the instance's private rng when Rng is nil.
 	Seed int64
@@ -153,14 +152,13 @@ type Config struct {
 	// Sharing one rng across instances serializes them (draw order then
 	// depends on call order); prefer Seed for parallel use.
 	Rng *rand.Rand
-	// Budget bounds the work of budget-aware strategies: the
-	// local-search family (wolt-hillclimb, wolt-kopt, wolt-anneal)
-	// honors all three dimensions per Solve/Reassign, and
+	// Budget bounds the work of budget-aware strategies:
+	// wolt-hillclimb honors all three dimensions per Solve/Reassign, and
 	// wolt-incremental honors Budget.Moves as its per-Reassign move
 	// cap. The zero Budget is unlimited. (This replaces the former
 	// wolt-incremental-only MoveBudget knob.)
 	Budget Budget
-	// Ctx, when non-nil, makes the local-search family interruptible:
+	// Ctx, when non-nil, makes wolt-hillclimb interruptible:
 	// cancellation stops a solve at the next probe checkpoint and the
 	// best-so-far valid assignment is returned (the anytime contract,
 	// DESIGN.md §11). Other strategies ignore it.

@@ -42,8 +42,8 @@ func testNetwork(t *testing.T, users, extenders int) *model.Network {
 func TestRegistryCoversAllStrategies(t *testing.T) {
 	want := []string{
 		"greedy", "optimal", "random", "rssi", "selfish",
-		"wolt", "wolt-alpha", "wolt-anneal", "wolt-coordinate", "wolt-fair",
-		"wolt-hillclimb", "wolt-incremental", "wolt-kopt", "wolt-pf",
+		"wolt", "wolt-alpha", "wolt-coordinate",
+		"wolt-hillclimb", "wolt-incremental", "wolt-pf",
 	}
 	if got := Names(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Names() = %v, want %v", got, want)
@@ -241,13 +241,13 @@ func TestRepeatedSolvesDeterministic(t *testing.T) {
 func TestOnlineAndReassignerForms(t *testing.T) {
 	online := map[string]bool{
 		"greedy": true, "selfish": true, "rssi": true, "random": true,
-		"wolt-hillclimb": true, "wolt-kopt": true, "wolt-anneal": true,
+		"wolt-hillclimb": true,
 	}
 	reassigner := map[string]bool{
-		"wolt": true, "wolt-coordinate": true, "wolt-fair": true,
+		"wolt": true, "wolt-coordinate": true,
 		"wolt-pf": true, "wolt-alpha": true,
 		"wolt-incremental": true, "rssi": true,
-		"wolt-hillclimb": true, "wolt-kopt": true, "wolt-anneal": true,
+		"wolt-hillclimb": true,
 	}
 	for _, name := range Names() {
 		st, err := New(name, Config{})

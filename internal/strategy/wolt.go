@@ -21,12 +21,6 @@ func init() {
 	Register("wolt-alpha", func(cfg Config) Strategy {
 		return newWOLT("wolt-alpha", 0, model.AlphaFair(cfg.Alpha))(cfg)
 	})
-	// Deprecated: wolt-fair is a compatibility alias for the α=1 member
-	// (use wolt-pf). It now goes through the common woltStrategy
-	// machinery, so — unlike the pre-utility shim it replaces — it
-	// emits full per-solve Stats (phase timings, augmentations,
-	// aggregate and utility) like the other variants.
-	Register("wolt-fair", newWOLT("wolt-fair", 0, model.ProportionalFairness()))
 	Register("wolt-incremental", func(cfg Config) Strategy {
 		budget := cfg.Budget.Moves
 		switch {
@@ -41,7 +35,7 @@ func init() {
 		// fresh two-phase target solve (core.WarmOptions).
 		if cfg.Budget.Probes > 0 || cfg.Budget.Time > 0 {
 			s.opts.Warm = &core.WarmOptions{
-				Search: localsearch.Options{Seed: cfg.Seed, Budget: cfg.Budget},
+				Search: localsearch.Options{Budget: cfg.Budget},
 				Ctx:    cfg.Ctx,
 			}
 		}

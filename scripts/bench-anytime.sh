@@ -8,9 +8,9 @@
 #       of a 20-user churn burst at probe budget N (the budget-vs-quality
 #       curve; each row reports gap_pct vs the full two-phase solve and
 #       startgap_pct, the damage the churn did)
-#   BenchmarkWarmResolveKOpt   — the k-opt form at the headline budget
-#   BenchmarkWarmResolveAnneal — the annealer (diversification method;
-#       from a warm start it returns best-so-far, i.e. the start)
+#
+# The hill climb is the only search internal/localsearch has; the raw
+# benchmark output goes to $TMPDIR/bench_anytime.txt (default /tmp).
 #
 # Acceptance: the sub-1000-probe rows must show ns_per_op < 1ms with
 # gap_pct <= 3 — a warm re-solve under churn at a fraction of the
@@ -21,11 +21,12 @@ set -eu
 cd "$(dirname "$0")/.."
 count="${1:-3}"
 out="BENCH_anytime.json"
+raw="${TMPDIR:-/tmp}/bench_anytime.txt"
 cores="$(go env GONUMCPU 2>/dev/null || true)"
 [ -n "$cores" ] || cores="$(getconf _NPROCESSORS_ONLN)"
 
 go test -run '^$' -bench 'WarmResolve' -benchmem -count "$count" \
-	./internal/localsearch | tee /tmp/bench_anytime.txt
+	./internal/localsearch | tee "$raw"
 
 awk -v cores="$cores" '
 BEGIN { printf "{\n  \"cores\": %s,\n  \"runs\": [\n", cores }
@@ -44,6 +45,6 @@ BEGIN { printf "{\n  \"cores\": %s,\n  \"runs\": [\n", cores }
 		name, iters, ns, gap, startgap, probes, bpo, apo
 }
 END { print "\n  ]\n}" }
-' /tmp/bench_anytime.txt > "$out"
+' "$raw" > "$out"
 
 echo "wrote $out"

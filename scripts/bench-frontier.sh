@@ -18,11 +18,12 @@ set -eu
 cd "$(dirname "$0")/.."
 count="${1:-3}"
 out="BENCH_frontier.json"
+raw="${TMPDIR:-/tmp}/bench_frontier.txt"
 cores="$(go env GONUMCPU 2>/dev/null || true)"
 [ -n "$cores" ] || cores="$(getconf _NPROCESSORS_ONLN)"
 
 go test -run '^$' -bench 'FrontierAlpha' -benchmem -count "$count" \
-	. | tee /tmp/bench_frontier.txt
+	. | tee "$raw"
 
 awk -v cores="$cores" '
 BEGIN { printf "{\n  \"cores\": %s,\n  \"runs\": [\n", cores }
@@ -41,7 +42,7 @@ BEGIN { printf "{\n  \"cores\": %s,\n  \"runs\": [\n", cores }
 		name, iters, ns, agg, jain, util, bpo, apo
 }
 END { print "\n  ]\n}" }
-' /tmp/bench_frontier.txt > "$out"
+' "$raw" > "$out"
 
 # Enforce the acceptance criterion recorded above: on at least one
 # recorded run the α=1 member strictly improves Jain over α=0.
@@ -56,6 +57,6 @@ END {
 	if (!(j1 > j0)) { printf "FAIL: wolt-pf jain %s <= wolt jain %s\n", j1, j0; exit 1 }
 	printf "ok: wolt-pf jain %s > wolt jain %s\n", j1, j0
 }
-' /tmp/bench_frontier.txt
+' "$raw"
 
 echo "wrote $out"

@@ -12,16 +12,18 @@ set -eu
 cd "$(dirname "$0")/.."
 count="${1:-3}"
 out="BENCH_shard.json"
+raw="${TMPDIR:-/tmp}/bench_shard.txt"
+exp="${TMPDIR:-/tmp}/bench_shard_exp.txt"
 cores="$(go env GONUMCPU 2>/dev/null || true)"
 [ -n "$cores" ] || cores="$(getconf _NPROCESSORS_ONLN)"
 
 go test -run '^$' -bench CoordinatorJoin -count "$count" \
-	./internal/shard | tee /tmp/bench_shard.txt
+	./internal/shard | tee "$raw"
 
 csvdir="$(mktemp -d)"
 trap 'rm -rf "$csvdir"' EXIT
 go run ./cmd/woltsim -csv "$csvdir" -trials 2 -users 18 -extenders 8 shard \
-	> /tmp/bench_shard_exp.txt
+	> "$exp"
 csv="$(find "$csvdir" -name '*.csv' | head -n 1)"
 
 awk -v cores="$cores" -v csv="$csv" '
@@ -59,6 +61,6 @@ END {
 	}
 	print "}\n}"
 }
-' /tmp/bench_shard.txt > "$out"
+' "$raw" > "$out"
 
 echo "wrote $out"

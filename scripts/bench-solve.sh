@@ -10,11 +10,12 @@ set -eu
 cd "$(dirname "$0")/.."
 count="${1:-3}"
 out="BENCH_solve.json"
+raw="${TMPDIR:-/tmp}/bench_solve.txt"
 cores="$(go env GONUMCPU 2>/dev/null || true)"
 [ -n "$cores" ] || cores="$(getconf _NPROCESSORS_ONLN)"
 
 go test -run '^$' -bench LargeSolve -benchmem -count "$count" \
-	./internal/core | tee /tmp/bench_solve.txt
+	./internal/core | tee "$raw"
 
 awk -v cores="$cores" '
 BEGIN { printf "{\n  \"cores\": %s,\n  \"runs\": [\n", cores }
@@ -29,6 +30,6 @@ BEGIN { printf "{\n  \"cores\": %s,\n  \"runs\": [\n", cores }
 		name, iters, ns, bpo, apo
 }
 END { print "\n  ]\n}" }
-' /tmp/bench_solve.txt > "$out"
+' "$raw" > "$out"
 
 echo "wrote $out"

@@ -27,15 +27,16 @@ set -eu
 cd "$(dirname "$0")/.."
 count="${1:-3}"
 out="BENCH_wire.json"
+raw="${TMPDIR:-/tmp}/bench_wire.txt"
 cores="$(go env GONUMCPU 2>/dev/null || true)"
 [ -n "$cores" ] || cores="$(getconf _NPROCESSORS_ONLN)"
 
 go test -run '^$' -bench 'EncodeDecode' -benchmem -count "$count" \
-	./internal/wire | tee /tmp/bench_wire.txt
+	./internal/wire | tee "$raw"
 go test -run '^$' -bench 'CityTCPSmoke' -count "$count" \
-	./internal/city | tee -a /tmp/bench_wire.txt
+	./internal/city | tee -a "$raw"
 WOLT_CITY_TCP=1 go test -run '^$' -bench 'CityTCP10K' -benchtime 1x -count 1 \
-	-timeout 1h ./internal/city | tee -a /tmp/bench_wire.txt
+	-timeout 1h ./internal/city | tee -a "$raw"
 
 awk -v cores="$cores" '
 BEGIN { printf "{\n  \"cores\": %s,\n  \"runs\": [\n", cores }
@@ -61,7 +62,7 @@ BEGIN { printf "{\n  \"cores\": %s,\n  \"runs\": [\n", cores }
 		name, iters, ns, jps, p50, p99, peak, ev, dir, drop, red, bpo, apo
 }
 END { print "\n  ]\n}" }
-' /tmp/bench_wire.txt > "$out"
+' "$raw" > "$out"
 
 # Acceptance gates (mirrors bench-frontier.sh): the codec must be
 # allocation-free and must beat JSON under identical 10^4-user churn.
@@ -99,6 +100,6 @@ END {
 	}
 	exit fail
 }
-' /tmp/bench_wire.txt
+' "$raw"
 
 echo "wrote $out"

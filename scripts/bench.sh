@@ -7,9 +7,10 @@ set -eu
 cd "$(dirname "$0")/.."
 count="${1:-3}"
 out="BENCH_sweep.json"
+raw="${TMPDIR:-/tmp}/bench_sweep.txt"
 
 go test -run '^$' -bench 'Sweep|Static' -benchmem -count "$count" \
-	./internal/sweep ./internal/netsim | tee /tmp/bench_sweep.txt
+	./internal/sweep ./internal/netsim | tee "$raw"
 
 awk '
 BEGIN { print "[" }
@@ -24,6 +25,6 @@ BEGIN { print "[" }
 		name, iters, ns, bpo, apo
 }
 END { print "\n]" }
-' /tmp/bench_sweep.txt > "$out"
+' "$raw" > "$out"
 
 echo "wrote $out"
